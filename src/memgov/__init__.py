@@ -20,7 +20,6 @@ from .distillation import (
     CondensedThread,
     DistillerRequest,
     RuleBasedDistiller,
-    distill_card,
     purify_content,
 )
 from .embedding import DEFAULT_DIMENSION, Embedder, HashingEmbedder
@@ -58,7 +57,6 @@ from .quality import (
 from .selection import RepoScore, SelectionConfig, score_repository, select_top_m
 from .store import (
     DEFAULT_TOP_K,
-    IndexEntry,
     MemoryStore,
     SearchHit,
     compose_index_text,

@@ -28,17 +28,3 @@ class AuditLog:
 
     def rejection(self, repo: str | None, issue: int | None, pr: int | None, reason: str) -> None:
         self.record({"repo": repo, "issue": issue, "pr": pr, "reason": reason})
-
-    def qc_decision(
-        self, repo: str, issue: int, pr: int, iteration: int, aggregate: float, accepted: bool
-    ) -> None:
-        self.record(
-            {
-                "repo": repo,
-                "issue": issue,
-                "pr": pr,
-                "iteration": iteration,
-                "aggregate": aggregate,
-                "accepted": accepted,
-            }
-        )

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import signal
 import sys
 from pathlib import Path
@@ -20,6 +19,7 @@ from .audit import AuditLog
 from .cards import card_to_dict
 from .config import PipelineConfig, load_config
 from .distillation import RuleBasedDistiller
+from .embedding import _TOKEN
 from .errors import (
     ConfigError,
     DataError,
@@ -280,9 +280,6 @@ def cmd_serve(args) -> int:
         server.server_close()
     print("shut down cleanly")
     return EXIT_OK
-
-
-_TOKEN = re.compile(r"[A-Za-z0-9]+")
 
 
 def _demo_query_parts(issue_text: str) -> tuple[list[str], list[str]]:

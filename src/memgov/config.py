@@ -8,7 +8,7 @@ Example:
       "qc": {"gamma": 0.7, "max_iterations": 3},
       "embedder": {"id": "feature-hash-256", "dimension": 256},
       "dedup": {"threshold": 0.95},
-      "paths": {"input": null, "output_dir": null, "audit_log": null},
+      "paths": {"audit_log": null},
       "provider": {"endpoint": null, "model": null, "max_inflight": 8},
       "workers": 1
     }
@@ -53,8 +53,6 @@ class EmbedderConfig:
 
 @dataclass(frozen=True)
 class PathsConfig:
-    input: str | None = None
-    output_dir: str | None = None
     audit_log: str | None = None
 
 
@@ -76,6 +74,14 @@ class PipelineConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
     provider: ProviderConfig = field(default_factory=ProviderConfig)
     workers: int = 1
+
+    def __post_init__(self) -> None:
+        t = self.dedup_threshold
+        if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0.0 < t <= 1.0:
+            raise ConfigError(f"dedup threshold must be in (0, 1], got {t!r}")
+        w = self.workers
+        if isinstance(w, bool) or not isinstance(w, int) or w < 1:
+            raise ConfigError(f"workers must be an integer >= 1, got {w!r}")
 
 
 def _build(cls, data: dict, section: str):
@@ -119,7 +125,7 @@ def config_from_dict(data: dict) -> PipelineConfig:
         dedup_threshold=dedup.get("threshold", DEFAULT_DEDUP_THRESHOLD),
         paths=_build(PathsConfig, data.get("paths", {}), "paths"),
         provider=_build(ProviderConfig, data.get("provider", {}), "provider"),
-        workers=int(data.get("workers", 1)),
+        workers=data.get("workers", 1),
     )
 
 

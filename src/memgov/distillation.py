@@ -24,6 +24,7 @@ from .cards import (
     ExperienceCard,
     IndexLayer,
     ResolutionLayer,
+    _HEX_RUN,
     make_card_id,
 )
 from .diffs import hunk_stats
@@ -56,7 +57,6 @@ _STOPWORDS = frozenset(
 
 _WORD = re.compile(r"[A-Za-z0-9_]+")
 _EXCEPTION_NAME = re.compile(r"\b\w+(?:Error|Exception)\b")
-_HEX_RUN = re.compile(r"[0-9a-fA-F]{12,}")
 
 _TEST_PATH_HINT = re.compile(r"(?:^|/)(?:tests?|testing)(?:/|_)|_test\.|test_", re.IGNORECASE)
 
@@ -409,8 +409,3 @@ class ChatDistiller:
                 lambda: self.provider.complete(prompt), retries=self.retries, backoff=self.backoff
             )
             return self._parse(completion, request)
-
-
-def distill_card(request: DistillerRequest, distiller: Distiller) -> ExperienceCard:
-    """Draft one card. Performs no quality judgment; QC owns that."""
-    return distiller.distill(request)

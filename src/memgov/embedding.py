@@ -77,12 +77,6 @@ class HashingEmbedder:
             acc /= norm
         return acc.astype(np.float32)
 
-    def embed_many(self, texts: list[str]) -> np.ndarray:
-        out = np.zeros((len(texts), self._dimension), dtype=np.float32)
-        for i, text in enumerate(texts):
-            out[i] = self.embed(text)
-        return out
-
 
 def default_embedder_for(embedder_id: str) -> HashingEmbedder | None:
     """Reconstruct the default embedder from a manifest id, if it is one."""

@@ -264,7 +264,13 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(err.status, {"error": {"code": err.code, "message": err.message}})
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _ApiError(400, "invalid_request", f"bad Content-Length {header!r}")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -330,7 +336,7 @@ class _Handler(BaseHTTPRequestHandler):
         top_k = body.get("top_k", DEFAULT_TOP_K)
         if not isinstance(top_k, int) or isinstance(top_k, bool) or top_k < 1:
             raise _ApiError(400, "invalid_request", f"top_k must be a positive integer, got {top_k!r}")
-        req = SearchRequest(query=body["query"], top_k=top_k, session_id=body.get("session_id"))
+        req = SearchRequest(query=body["query"], top_k=top_k, session_id=_session_id(body))
         hits = self.service.handle_search(req)
         return {"hits": [search_hit_to_dict(h) for h in hits]}
 
@@ -338,7 +344,7 @@ class _Handler(BaseHTTPRequestHandler):
         card_id = body.get("card_id")
         if not card_id or not isinstance(card_id, str):
             raise _ApiError(400, "invalid_request", "browse needs a non-empty 'card_id'")
-        req = BrowseRequest(card_id=card_id, session_id=body.get("session_id"))
+        req = BrowseRequest(card_id=card_id, session_id=_session_id(body))
         return card_to_dict(self.service.handle_browse(req))
 
     def _brief(self, body: dict) -> dict:
@@ -350,6 +356,13 @@ class _Handler(BaseHTTPRequestHandler):
             raise _ApiError(400, "invalid_request", "transfer_brief needs a list of 'card_ids'")
         brief = self.service.assemble_transfer_brief(session_id, card_ids)
         return brief.to_dict()
+
+
+def _session_id(body: dict) -> str | None:
+    session_id = body.get("session_id")
+    if session_id is not None and not isinstance(session_id, str):
+        raise _ApiError(400, "invalid_request", f"session_id must be a string, got {session_id!r}")
+    return session_id
 
 
 def make_http_server(service: ToolService, host: str = "127.0.0.1", port: int = 0) -> ThreadingHTTPServer:

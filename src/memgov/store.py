@@ -24,6 +24,11 @@ has no cards digest.
 Load decodes no card: it keeps each cards.jsonl line and its card id, and a
 card is decoded when search or browse first returns it. A malformed card
 line therefore surfaces as StoreFormatError when it is first read.
+
+In memory, search needs one float32 (count, dimension) matrix and one float64
+norm per row, nothing else. A loaded store's matrix is a read-only view of
+the vectors.bin bytes; indexing a card copies it into a matrix whose
+capacity doubles as it fills.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ DEFAULT_DEDUP_THRESHOLD = 0.95
 _HEADER = 16  # magic, u32 count, u32 dimension
 _TRAILER = 8  # checksum of everything before it
 _CARD_ID_PREFIX = b'{"card_id": "'  # how card_to_dict lines start once dumped
+_NORM_BLOCK = 4096  # rows per float64 block when computing norms
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -77,13 +83,6 @@ def _vectors_trailer(version: int, payload: bytes) -> bytes:
     if version == 1:
         return struct.pack("<Q", fnv1a_64(payload))
     return _blake2b_8(payload)
-
-
-@dataclass(frozen=True)
-class IndexEntry:
-    card_id: str
-    vector: np.ndarray  # float32, length = store dimension, nonzero norm
-    index_text: str
 
 
 @dataclass(frozen=True)
@@ -112,6 +111,17 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return min(1.0, max(-1.0, float(np.dot(a, b)) / (na * nb)))
 
 
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    """The float64 norm of each row, bit-identical to np.linalg.norm of the
+    row as cosine_similarity computes it, so that scores match that oracle
+    exactly. Rows are widened one block at a time, never all at once."""
+    norms = np.empty(len(matrix))
+    for start in range(0, len(matrix), _NORM_BLOCK):
+        block = matrix[start : start + _NORM_BLOCK].astype(np.float64)
+        norms[start : start + len(block)] = np.sqrt(np.vecdot(block, block))
+    return norms
+
+
 def _decode_line(line: bytes, row: int) -> ExperienceCard:
     try:
         return card_from_dict(json.loads(line))
@@ -138,19 +148,20 @@ class MemoryStore:
     """In-memory card collection with flat-scan retrieval.
 
     Each card is held as its serialized cards.jsonl line and decoded on
-    first read; decoded cards are memoised. Reads (search, browse) are safe
-    to run concurrently over a loaded store; writes (index_card, save)
-    require exclusive access.
+    first read; decoded cards are memoised. Its vector is a row of one
+    float32 matrix, whose float64 row norms are kept next to it. Reads
+    (search, browse) are safe to run concurrently over a loaded store;
+    writes (index_card, save) require exclusive access.
     """
 
     def __init__(self, embedder: Embedder):
         self.embedder = embedder
         self._ids: list[str] = []
         self._lines: list[bytes] = []  # cards.jsonl line per row, no newline
-        self._rows: list[np.ndarray] = []
+        self._matrix = np.zeros((0, embedder.dimension), dtype=np.float32)  # rows >= count
+        self._norms = np.zeros(0)  # float64 norm per matrix row
         self._positions: dict[str, int] = {}  # card id -> row
         self._cards: dict[str, ExperienceCard] = {}  # decoded cards by id
-        self._cache: _SearchCache | None = None
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -162,6 +173,13 @@ class MemoryStore:
     def card_ids(self) -> list[str]:
         return list(self._ids)
 
+    @property
+    def vectors(self) -> np.ndarray:
+        """Read-only float32 view of the indexed vectors, rows in card_ids() order."""
+        view = self._matrix[: len(self._ids)]
+        view.flags.writeable = False
+        return view
+
     def index_card(self, card: ExperienceCard) -> str:
         """Embed the card's index layer and add it to the store."""
         if card.card_id in self._positions:
@@ -172,20 +190,30 @@ class MemoryStore:
             raise DataError(
                 f"embedder returned shape {vector.shape}, expected ({self.dimension},)"
             )
-        if not float(np.linalg.norm(vector)) > 0.0:
-            raise UnembeddableTextError(
-                f"index text of card {card.card_id!r} embeds to the zero vector"
-            )
         self._append(card, vector)
         return card.card_id
 
     def _append(self, card: ExperienceCard, vector: np.ndarray) -> None:
-        self._positions[card.card_id] = len(self._ids)
+        wide = vector.astype(np.float64)
+        norm = np.sqrt(np.vecdot(wide, wide))  # as _row_norms computes it
+        if not norm > 0.0:
+            raise UnembeddableTextError(
+                f"index text of card {card.card_id!r} embeds to the zero vector"
+            )
+        row = len(self._ids)
+        if row == len(self._matrix):  # full, or a read-only view of vectors.bin
+            capacity = max(2 * row, 64)
+            matrix = np.empty((capacity, self.dimension), dtype=np.float32)
+            matrix[:row] = self._matrix[:row]
+            norms = np.empty(capacity)
+            norms[:row] = self._norms[:row]
+            self._matrix, self._norms = matrix, norms
+        self._matrix[row] = vector
+        self._norms[row] = norm
+        self._positions[card.card_id] = row
         self._ids.append(card.card_id)
         self._lines.append(json.dumps(card_to_dict(card)).encode())
-        self._rows.append(vector)
         self._cards[card.card_id] = card
-        self._cache = None
 
     def _card_at(self, row: int) -> ExperienceCard:
         """Decode (once) and return the card stored in the given row."""
@@ -202,14 +230,6 @@ class MemoryStore:
             card = self._cards.setdefault(card_id, card)
         return card
 
-    def entries(self) -> list[IndexEntry]:
-        # index_text is derivable: it is compose_index_text(card) by
-        # construction on both the indexing and loading paths.
-        return [
-            IndexEntry(card_id=i, vector=v, index_text=compose_index_text(self._card_at(row)))
-            for row, (i, v) in enumerate(zip(self._ids, self._rows))
-        ]
-
     def browse(self, card_id: str) -> ExperienceCard:
         """Return the full stored card, resolution layer included."""
         row = self._positions.get(card_id)
@@ -217,31 +237,39 @@ class MemoryStore:
             raise UnknownCardError(f"no card with id {card_id!r}")
         return self._card_at(row)
 
-    def _ensure_cache(self) -> "_SearchCache":
-        if self._cache is None:
-            self._cache = _SearchCache.build(self._ids, self._rows)
-        return self._cache
-
     def search(self, query: str, k: int = DEFAULT_TOP_K) -> list[SearchHit]:
-        """Top-k flat scan by cosine similarity, ties by card id ascending."""
+        """Top-k flat scan by cosine similarity, ties by card id ascending.
+
+        Similarities come from einsum rather than BLAS gemv: einsum's per-row
+        float64 reduction is a pure function of the row, so rows with equal
+        similarity get exactly equal floats and the card-id tie-break
+        matches a per-pair cosine_similarity scan. Only the rows scoring at
+        least the k-th largest similarity are sorted, which keeps every
+        tie across that cut.
+        """
         if k < 1:
             raise DataError(f"k must be >= 1, got {k}")
-        if not self._ids:
+        n = len(self._ids)
+        if not n:
             return []
         q = np.asarray(self.embedder.embed(query), dtype=np.float64)
         qnorm = float(np.linalg.norm(q))
         if qnorm == 0.0:
             raise UnembeddableTextError("query embeds to the zero vector")
-        cache = self._ensure_cache()
-        sims = cache.similarities(q, qnorm)
-        order = np.lexsort((cache.id_array, -sims))[:k]
+        sims = np.einsum("ij,j->i", self._matrix[:n], q)
+        sims /= self._norms[:n] * qnorm
+        np.clip(sims, -1.0, 1.0, out=sims)
+        # The k-th largest similarity, or the clip floor when every row is a hit.
+        cut = np.partition(sims, n - k)[n - k] if k < n else -1.0
+        rows = np.flatnonzero(sims >= cut).tolist()
+        rows = sorted(rows, key=lambda row: (-float(sims[row]), self._ids[row]))[:k]
         return [
             SearchHit(
-                card_id=self._ids[i],
-                similarity=float(sims[i]),
-                preview=self._card_at(i).index,
+                card_id=self._ids[row],
+                similarity=float(sims[row]),
+                preview=self._card_at(row).index,
             )
-            for i in order
+            for row in rows
         ]
 
     def save(self, directory: str | Path) -> None:
@@ -252,13 +280,10 @@ class MemoryStore:
         cards_blob = b"".join(line + b"\n" for line in self._lines)
         (directory / "cards.jsonl").write_bytes(cards_blob)
         count = len(self._ids)
-        matrix = (
-            np.stack(self._rows) if count else np.zeros((0, self.dimension), dtype=np.float32)
-        )
         payload = (
             MAGICS[FORMAT_VERSION]
             + struct.pack("<II", count, self.dimension)
-            + matrix.astype("<f4", copy=False).tobytes(order="C")
+            + self.vectors.astype("<f4", copy=False).tobytes(order="C")
         )
         (directory / "vectors.bin").write_bytes(payload + _blake2b_8(payload))
         manifest = {
@@ -355,40 +380,13 @@ class MemoryStore:
                 card_id = card.card_id
                 store._cards[card_id] = card
             ids.append(card_id)
-        store._ids, store._lines, store._rows = ids, lines, list(matrix)
+        store._ids, store._lines = ids, lines
+        store._matrix, store._norms = matrix, _row_norms(matrix)
         store._positions = dict(zip(ids, range(count)))
         if len(store._positions) != count:
             repeated = next(i for row, i in enumerate(ids) if store._positions[i] != row)
             raise StoreFormatError(f"cards.jsonl repeats card id {repeated!r}")
         return store
-
-
-class _SearchCache:
-    """Float64 scan matrix plus per-row norms.
-
-    Similarities are computed with einsum rather than BLAS gemv: einsum's
-    per-row reduction is a pure function of row content, so vectors with
-    mathematically equal similarity land on exactly equal floats and the
-    card-id tie-break engages deterministically, matching a per-pair
-    cosine_similarity scan. The norms come from the same per-vector routine
-    cosine_similarity uses.
-    """
-
-    def __init__(self, id_array: np.ndarray, matrix: np.ndarray, norms: np.ndarray):
-        self.id_array = id_array
-        self.matrix = matrix
-        self.norms = norms
-
-    @classmethod
-    def build(cls, ids: list[str], rows: list[np.ndarray]) -> "_SearchCache":
-        matrix = np.stack(rows).astype(np.float64)
-        norms = np.array([float(np.linalg.norm(row)) for row in matrix])
-        return cls(np.array(ids), matrix, norms)
-
-    def similarities(self, q: np.ndarray, qnorm: float) -> np.ndarray:
-        sims = np.einsum("ij,j->i", self.matrix, q) / (self.norms * qnorm)
-        np.clip(sims, -1.0, 1.0, out=sims)
-        return sims
 
 
 def _normalized_text(text: str) -> str:

@@ -430,7 +430,8 @@ def brute_force_ranking(store: MemoryStore, query: str, k: int) -> list[str]:
     emb = store.embedder
     q = emb.embed(query)
     keyed = sorted(
-        (-cosine_similarity(q, entry.vector), entry.card_id) for entry in store.entries()
+        (-cosine_similarity(q, vector), card_id)
+        for card_id, vector in zip(store.card_ids(), store.vectors)
     )
     return [cid for _, cid in keyed[:k]]
 
@@ -568,9 +569,9 @@ def test_criterion_10_persistence_round_trip(ten_k_store, tmp_path):
     store.save(directory)
     loaded = MemoryStore.load(directory)
     assert len(loaded) == len(store)
-    for original, restored in zip(store.entries(), loaded.entries()):
-        assert original.card_id == restored.card_id
-        assert original.vector.tobytes() == restored.vector.tobytes()  # byte-exact
+    assert loaded.card_ids() == store.card_ids()
+    for original, restored in zip(store.vectors, loaded.vectors):
+        assert original.tobytes() == restored.tobytes()  # byte-exact
 
     rng = random.Random(10_010)
     for _ in range(50):

@@ -98,6 +98,22 @@ def test_govern_parallel_matches_serial(tmp_path, capsys):
     assert (serial / "audit.jsonl").read_bytes() == (parallel / "audit.jsonl").read_bytes()
 
 
+
+@pytest.mark.parametrize(
+    "config",
+    [{"workers": "two"}, {"workers": 0}, {"dedup": {"threshold": 7}}],
+    ids=["workers-string", "workers-zero", "dedup-threshold-7"],
+)
+def test_bad_config_value_is_data_error(tmp_path, small_fixture, capsys, config):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "store"
+    code, _, err = run_cli(capsys, "--config", str(config_path), "govern", str(small_fixture), str(out))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_fixture_mode_never_dials_llm(tmp_path, small_fixture, capsys, monkeypatch):
     monkeypatch.setenv("MEMGOV_LLM_ENDPOINT", "http://127.0.0.1:9/v1/chat")
     monkeypatch.setenv("MEMGOV_LLM_MODEL", "anything")

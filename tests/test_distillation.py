@@ -8,7 +8,6 @@ from memgov.distillation import (
     ChatDistiller,
     DistillerRequest,
     RuleBasedDistiller,
-    distill_card,
     purify_content,
 )
 from memgov.errors import MalformedOutputError, ProviderError
@@ -89,7 +88,7 @@ def test_diff_summary_lines_present(instance):
 
 def test_stub_summary_contains_issue_title():
     instance = make_instance(title="crash on empty input")
-    card = distill_card(request_for(instance), RuleBasedDistiller())
+    card = RuleBasedDistiller().distill(request_for(instance))
     assert "crash on empty input" in card.index.problem_summary
 
 
@@ -104,7 +103,7 @@ def test_stub_pads_signals_to_ten_from_diff_paths():
         "@@ -1,1 +1,2 @@\n context\n+fix\n"
     )
     instance = make_instance(title="cache corruption shutdown", body=body, patch_text=diff)
-    card = distill_card(request_for(instance), RuleBasedDistiller())
+    card = RuleBasedDistiller().distill(request_for(instance))
     assert list(card.index.signals) == [
         "fooerror", "barexception", "bazerror", "quxexception",
         "cache", "corruption", "shutdown",
@@ -114,13 +113,13 @@ def test_stub_pads_signals_to_ten_from_diff_paths():
 
 def test_stub_is_deterministic(instance):
     request = request_for(instance)
-    a = distill_card(request, RuleBasedDistiller())
-    b = distill_card(request, RuleBasedDistiller())
+    a = RuleBasedDistiller().distill(request)
+    b = RuleBasedDistiller().distill(request)
     assert a == b
 
 
 def test_stub_output_is_schema_valid(instance):
-    card = distill_card(request_for(instance), RuleBasedDistiller())
+    card = RuleBasedDistiller().distill(request_for(instance))
     assert validate_schema(card) == []
 
 

@@ -54,14 +54,6 @@ def test_custom_dimension():
     assert emb.embedder_id == "feature-hash-32"
 
 
-def test_embed_many_matches_embed():
-    emb = HashingEmbedder()
-    texts = ["one", "two three", ""]
-    matrix = emb.embed_many(texts)
-    for row, text in zip(matrix, texts):
-        assert np.array_equal(row, emb.embed(text))
-
-
 def test_default_embedder_for_round_trips_id():
     emb = default_embedder_for("feature-hash-128")
     assert emb is not None and emb.dimension == 128

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+import socket
 import threading
 
 import pytest
@@ -133,6 +135,34 @@ def test_unknown_path_and_bad_json_envelopes(live):
     )
     assert resp.status_code == 400
     assert resp.json()["error"]["code"] == "invalid_json"
+
+
+
+@pytest.mark.parametrize("session_id", [["abc"], {"id": "abc"}], ids=["list", "object"])
+def test_non_string_session_id_is_client_error(live, session_id):
+    base, _service, cards = live
+    for path, body in (
+        ("/v1/search", {"query": "deadlock"}),
+        ("/v1/browse", {"card_id": cards[0].card_id}),
+    ):
+        resp = requests.post(f"{base}{path}", json={**body, "session_id": session_id})
+        assert resp.status_code == 400
+        assert resp.json()["error"]["code"] == "invalid_request"
+
+
+@pytest.mark.parametrize("length", ["abc", "-1"])
+def test_bad_content_length_is_client_error(live, length):
+    base, _service, _cards = live
+    port = int(base.rsplit(":", 1)[1])
+    request = f"POST /v1/search HTTP/1.0\r\nContent-Length: {length}\r\n\r\n{{}}"
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request.encode())
+        response = b""
+        while chunk := sock.recv(4096):
+            response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    assert head.split()[1] == b"400"
+    assert json.loads(body)["error"]["code"] == "invalid_request"
 
 
 def test_session_flow_over_http(live):

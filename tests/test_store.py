@@ -168,13 +168,38 @@ def test_search_matches_bruteforce_oracle():
         q = emb.embed(query)
         oracle = sorted(
             (
-                (-cosine_similarity(q, store.entries()[i].vector), cards[i].card_id)
+                (-cosine_similarity(q, store.vectors[i]), cards[i].card_id)
                 for i in range(len(cards))
             ),
         )
         expected = [cid for _, cid in oracle[:10]]
         got = [h.card_id for h in store.search(query, k=10)]
         assert got == expected
+
+
+
+def test_tie_across_top_k_cut_comes_in_id_order():
+    # Three identical index texts score the same; indexed in reverse id
+    # order, the tie straddles the k-th place at k=1 and k=2.
+    tied = [make_card(issue=i, pr=50 + i, summary="same text") for i in (1, 2, 3)]
+    other = make_card(issue=9, pr=99, summary="unrelated words", signals=("x 1",) * 10)
+    store = make_store(sorted(tied, key=lambda c: c.card_id, reverse=True) + [other])
+    ids = sorted(c.card_id for c in tied)
+    for k in (1, 2, 3):
+        hits = store.search("same text signal", k=k)
+        assert [h.card_id for h in hits] == ids[:k]
+        assert len({h.similarity for h in hits}) == 1
+
+
+def test_k_beyond_store_size_returns_every_card_ranked():
+    cards = distinct_cards(7)
+    store = make_store(cards)
+    hits = store.search("alpha failure", k=50)
+    assert sorted(h.card_id for h in hits) == sorted(c.card_id for c in cards)
+    assert [(-h.similarity, h.card_id) for h in hits] == sorted(
+        (-h.similarity, h.card_id) for h in hits
+    )
+    assert hits == store.search("alpha failure", k=7)
 
 
 def test_browse_returns_full_card(card):
@@ -248,16 +273,41 @@ def test_save_load_round_trip(tmp_path):
     store.save(tmp_path / "store")
     loaded = MemoryStore.load(tmp_path / "store")
     assert len(loaded) == 50
-    for original, restored in zip(store.entries(), loaded.entries()):
-        assert original.card_id == restored.card_id
-        assert np.array_equal(original.vector, restored.vector)  # byte-exact
-        assert original.index_text == restored.index_text
+    assert loaded.card_ids() == store.card_ids()
+    for original, restored in zip(store.vectors, loaded.vectors):
+        assert np.array_equal(original, restored)  # byte-exact
     for query in ("alpha failure", "gamma failure 7", "kappa theta"):
         assert [h.card_id for h in store.search(query)] == [
             h.card_id for h in loaded.search(query)
         ]
     assert loaded.browse(cards[3].card_id) == cards[3]
     assert [loaded.browse(c.card_id) for c in cards] == cards
+
+
+
+def test_index_into_loaded_store(tmp_path):
+    cards = distinct_cards(30)
+    make_store(cards[:20]).save(tmp_path / "first")
+    loaded = MemoryStore.load(tmp_path / "first")
+    assert not loaded.vectors.flags.writeable  # a view of vectors.bin
+    for card in cards[20:]:
+        loaded.index_card(card)
+    fresh = make_store(cards)
+    assert loaded.card_ids() == fresh.card_ids()
+    assert loaded.vectors.tobytes() == fresh.vectors.tobytes()
+    for query in ("alpha failure", "topic zeta failure 27", "kappa 3"):
+        assert [(h.card_id, h.similarity) for h in loaded.search(query, k=12)] == [
+            (h.card_id, h.similarity) for h in fresh.search(query, k=12)
+        ]
+    assert loaded.browse(cards[4].card_id) == cards[4]
+    assert loaded.browse(cards[25].card_id) == cards[25]
+    loaded.save(tmp_path / "grown")
+    fresh.save(tmp_path / "fresh")
+    for name in ("cards.jsonl", "vectors.bin", "manifest.json"):
+        assert (tmp_path / "grown" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    reloaded = MemoryStore.load(tmp_path / "grown")
+    assert reloaded.vectors.tobytes() == fresh.vectors.tobytes()
+    assert [reloaded.browse(c.card_id) for c in cards] == cards
 
 
 def test_save_empty_store_round_trips(tmp_path):
@@ -437,7 +487,7 @@ def write_v1_store(directory, store):
     with (directory / "cards.jsonl").open("w") as fh:
         for card in cards:
             fh.write(json.dumps(card_to_dict(card)) + "\n")
-    matrix = np.stack([entry.vector for entry in store.entries()])
+    matrix = store.vectors
     payload = (
         b"MEMGIDX1"
         + struct.pack("<II", len(cards), store.dimension)
