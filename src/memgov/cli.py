@@ -63,11 +63,23 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="memgov", description=__doc__.split("\n")[0])
     parser.add_argument("--config", help="pipeline config file (JSON)")
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    parser.add_argument("--workers", type=int, default=None, help="parallel pipeline workers")
+    parser.add_argument(
+        "--workers", type=_positive_int, default=None, help="parallel pipeline workers"
+    )
     parser.add_argument(
         "--fixture-mode",
         action="store_true",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+import threading
 from typing import Protocol
 
 import numpy as np
@@ -21,6 +22,11 @@ import numpy as np
 DEFAULT_DIMENSION = 256
 
 _TOKEN = re.compile(r"[A-Za-z0-9]+")
+
+# Most entries in each HashingEmbedder's token -> slot cache; a full cache is
+# emptied. Above the ~58k distinct tokens of the benchmark's generated
+# 135k-card corpus, so indexing it never empties the cache.
+TOKEN_CACHE_SIZE = 1 << 16
 
 
 class Embedder(Protocol):
@@ -49,6 +55,7 @@ class HashingEmbedder:
             raise ValueError("dimension must be >= 1")
         self._dimension = dimension
         self._cache: dict[str, tuple[int, float]] = {}
+        self._cache_lock = threading.Lock()
 
     @property
     def dimension(self) -> int:
@@ -64,7 +71,12 @@ class HashingEmbedder:
             digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
             value = int.from_bytes(digest, "little")
             slot = (value % self._dimension, 1.0 if value >> 63 == 0 else -1.0)
-            self._cache[token] = slot
+            # Emptying rather than evicting keeps a hit one plain dict lookup;
+            # the lock keeps concurrent misses from overfilling the cache.
+            with self._cache_lock:
+                if len(self._cache) >= TOKEN_CACHE_SIZE:
+                    self._cache.clear()
+                self._cache[token] = slot
         return slot
 
     def embed(self, text: str) -> np.ndarray:

@@ -22,6 +22,7 @@ from .audit import AuditLog
 from .cards import ExperienceCard, validate_schema
 from .config import PipelineConfig
 from .distillation import Distiller, purify_content
+from .errors import ConfigError
 from .ingestion import ItemError, RawTriplet, TripletOrError
 from .purification import Classifier, Rejection, RuleBasedCommentClassifier, purify
 from .quality import Evaluator, QcAccepted, refine_loop
@@ -110,7 +111,9 @@ def run_govern(
     """Run the full governance pipeline and persist the resulting store."""
     classifier = classifier or RuleBasedCommentClassifier(cfg.purification)
     audit = audit or AuditLog(None)
-    workers = workers or cfg.workers
+    workers = cfg.workers if workers is None else workers
+    if workers < 1:
+        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     counts = GovernCounts()
 
     items = list(items)

@@ -2,7 +2,7 @@
 
 Endpoints (JSON bodies):
 
-* POST /v1/search         {"query", "top_k"?, "session_id"?}
+* POST /v1/search         {"query", "top_k"?, "session_id"?}, 1 <= top_k <= 100
                           -> {"hits": [{"card_id", "similarity",
                               "preview": {"problem_summary", "signals"}}]}
 * POST /v1/browse         {"card_id", "session_id"?} -> full card object
@@ -34,6 +34,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from .cards import ExperienceCard, card_to_dict
 from .errors import DataError, MemgovError, UnembeddableTextError, UnknownCardError
 from .store import DEFAULT_TOP_K, MemoryStore, SearchHit
+
+# Largest top_k an HTTP search may ask for: each hit's card is decoded and
+# kept, so an uncapped k lets one request decode the whole store.
+MAX_TOP_K = 100
 
 
 @dataclass(frozen=True)
@@ -334,8 +338,10 @@ class _Handler(BaseHTTPRequestHandler):
         if "query" not in body or not isinstance(body["query"], str):
             raise _ApiError(400, "invalid_request", "search needs a string 'query'")
         top_k = body.get("top_k", DEFAULT_TOP_K)
-        if not isinstance(top_k, int) or isinstance(top_k, bool) or top_k < 1:
-            raise _ApiError(400, "invalid_request", f"top_k must be a positive integer, got {top_k!r}")
+        if not isinstance(top_k, int) or isinstance(top_k, bool) or not 1 <= top_k <= MAX_TOP_K:
+            raise _ApiError(
+                400, "invalid_request", f"top_k must be an integer in [1, {MAX_TOP_K}], got {top_k!r}"
+            )
         req = SearchRequest(query=body["query"], top_k=top_k, session_id=_session_id(body))
         hits = self.service.handle_search(req)
         return {"hits": [search_hit_to_dict(h) for h in hits]}

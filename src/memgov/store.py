@@ -434,18 +434,23 @@ def dedup(
     matrix = np.stack([embedder.embed(t) for t in texts]).astype(np.float64)
     norms = np.linalg.norm(matrix, axis=1)
     embeddable = norms > 0.0
-    # Chunked pairwise scan keeps memory bounded on large inputs.
-    chunk = 512
+    # Each block of rows is compared with itself and the rows after it, since
+    # only pairs i < j are decided. The block and its denominator take at most
+    # 2 * chunk * n floats. Each decision is the same IEEE expression
+    # block[i, j] / (norms[i] * norms[j]) >= threshold as a per-pair scan.
+    chunk = 256
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        block = matrix[start:stop] @ matrix.T
-        for i in range(start, stop):
-            if not embeddable[i]:
-                continue
-            row = block[i - start]
-            for j in range(i + 1, n):
-                if embeddable[j] and row[j] / (norms[i] * norms[j]) >= threshold:
-                    union(i, j)
+        block = matrix[start:stop] @ matrix[start:].T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(block, np.multiply.outer(norms[start:stop], norms[start:]), out=block)
+        hits = block >= threshold
+        hits &= embeddable[start:]
+        hits[~embeddable[start:stop]] = False
+        rows, cols = np.divmod(np.flatnonzero(hits), n - start)  # 2-D nonzero is ~15x slower
+        upper = cols > rows
+        for i, j in zip((rows[upper] + start).tolist(), (cols[upper] + start).tolist()):
+            union(i, j)
 
     best: dict[int, int] = {}
     for i, card in enumerate(cards):

@@ -13,6 +13,12 @@ import requests
 
 from memgov.cards import card_from_dict, validate_schema
 from memgov.cli import main
+from memgov.config import PipelineConfig
+from memgov.distillation import RuleBasedDistiller
+from memgov.errors import ConfigError
+from memgov.ingestion import load_fixture_triplets
+from memgov.pipeline import run_govern
+from memgov.quality import RuleBasedEvaluator
 from memgov.store import MemoryStore
 from memgov.embedding import HashingEmbedder
 
@@ -97,6 +103,28 @@ def test_govern_parallel_matches_serial(tmp_path, capsys):
     assert (serial / "cards.jsonl").read_bytes() == (parallel / "cards.jsonl").read_bytes()
     assert (serial / "audit.jsonl").read_bytes() == (parallel / "audit.jsonl").read_bytes()
 
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_bad_workers_flag_is_usage_error(tmp_path, small_fixture, capsys, workers):
+    out = tmp_path / "store"
+    code, _, err = run_cli(capsys, "--workers", workers, "govern", str(small_fixture), str(out))
+    assert code == 1
+    assert err.startswith("usage error: ") and "--workers" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_govern_rejects_workers_below_one(tmp_path, small_fixture, workers):
+    with pytest.raises(ConfigError, match="workers"):
+        run_govern(
+            load_fixture_triplets(small_fixture),
+            tmp_path / "store",
+            PipelineConfig(),
+            distiller=RuleBasedDistiller(),
+            evaluator=RuleBasedEvaluator(),
+            workers=workers,
+        )
+    assert not (tmp_path / "store").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,21 @@
 from __future__ import annotations
 
+import hashlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from memgov.embedding import DEFAULT_DIMENSION, HashingEmbedder, default_embedder_for
+from memgov.embedding import (
+    _TOKEN,
+    DEFAULT_DIMENSION,
+    TOKEN_CACHE_SIZE,
+    HashingEmbedder,
+    default_embedder_for,
+)
+
+DISTINCT_TOKENS = " ".join(f"tok{i}" for i in range(100_000))
 
 
 def test_same_text_embeds_identically():
@@ -11,6 +23,67 @@ def test_same_text_embeds_identically():
     a = emb.embed("null pointer crash in parser")
     b = emb.embed("null pointer crash in parser")
     assert np.array_equal(a, b)
+
+
+def per_token_reference(text: str, dimension: int = DEFAULT_DIMENSION) -> np.ndarray:
+    """Signed feature hashing one token at a time, with no cache."""
+    acc = np.zeros(dimension, dtype=np.float64)
+    for token in _TOKEN.findall(text.casefold()):
+        value = int.from_bytes(hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest(), "little")
+        acc[value % dimension] += 1.0 if value >> 63 == 0 else -1.0
+    norm = float(np.linalg.norm(acc))
+    if norm > 0.0:
+        acc /= norm
+    return acc.astype(np.float32)
+
+
+def test_token_cache_stays_at_its_bound():
+    emb = HashingEmbedder()
+    emb.embed(" ".join(f"tok{i}" for i in range(TOKEN_CACHE_SIZE)))
+    assert len(emb._cache) == TOKEN_CACHE_SIZE
+    emb.embed(DISTINCT_TOKENS)
+    assert 0 < len(emb._cache) <= TOKEN_CACHE_SIZE
+
+
+@pytest.mark.parametrize("dimension", [DEFAULT_DIMENSION, 7])
+def test_vectors_bit_identical_after_cache_empties(dimension):
+    texts = [
+        "null pointer crash in parser",
+        "Deadlock deadlock DEADLOCK when the worker pool shuts down twice",
+        "a b c d e f g h i j k l m n o p q r s t u v w x y z",
+        "!!!",
+    ]
+    emb = HashingEmbedder(dimension)
+    before = [emb.embed(t).tobytes() for t in texts]
+    emb.embed(DISTINCT_TOKENS)  # fills and empties the cache
+    after = [emb.embed(t).tobytes() for t in texts]
+    assert before == after == [per_token_reference(t, dimension).tobytes() for t in texts]
+
+
+def test_shared_cache_under_threads():
+    # 4 threads x 100 texts x 200 distinct tokens = 80,000 tokens, more than
+    # the cache holds, so it empties while the threads embed.
+    emb = HashingEmbedder()
+    texts = [[" ".join(f"w{t}x{i}x{j}" for j in range(200)) for i in range(100)] for t in range(4)]
+    results = [None] * 4
+
+    def work(t):
+        results[t] = [emb.embed(text).tobytes() for text in texts[t]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(emb._cache) <= TOKEN_CACHE_SIZE
+    for t in range(4):
+        assert results[t] == [per_token_reference(text).tobytes() for text in texts[t]]
 
 
 def test_determinism_across_instances():

@@ -95,6 +95,16 @@ def test_search_rejects_bad_top_k(live):
     assert resp.json()["error"]["code"] == "invalid_request"
 
 
+@pytest.mark.parametrize("top_k, status", [(100, 200), (101, 400), (10**9, 400)])
+def test_search_caps_top_k(live, top_k, status):
+    base, _service, cards = live
+    resp = requests.post(f"{base}/v1/search", json={"query": "worker pool deadlock", "top_k": top_k})
+    assert resp.status_code == status
+    if status == 200:
+        assert len(resp.json()["hits"]) == len(cards)
+    else:
+        assert resp.json()["error"]["code"] == "invalid_request"
+
 def test_search_unembeddable_query_is_client_error(live):
     base, _service, _cards = live
     resp = requests.post(f"{base}/v1/search", json={"query": "!!!"})

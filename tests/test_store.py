@@ -9,6 +9,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memgov.embedding import HashingEmbedder
 from memgov.errors import (
@@ -262,6 +264,119 @@ def test_dedup_is_idempotent_and_order_preserving():
     assert once == twice
     positions = {c.card_id: i for i, c in enumerate(pool)}
     assert [positions[c.card_id] for c in once] == sorted(positions[c.card_id] for c in once)
+
+
+def pairwise_dedup(cards, embedder, threshold):
+    """Reference dedup: every pair decided on its own, then union-find."""
+    n = len(cards)
+    texts = [compose_index_text(c) for c in cards]
+    v = np.stack([embedder.embed(t) for t in texts]).astype(np.float64)
+    norms = np.linalg.norm(v, axis=1)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            same_text = " ".join(texts[i].casefold().split()) == " ".join(texts[j].casefold().split())
+            near = (
+                norms[i] > 0
+                and norms[j] > 0
+                and float(v[i] @ v[j]) / (norms[i] * norms[j]) >= threshold
+            )
+            if same_text or near:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    best = {}
+    for i, card in enumerate(cards):
+        root = find(i)
+        if root not in best or card.source.as_tuple() < cards[best[root]].source.as_tuple():
+            best[root] = i
+    return [cards[i] for i in sorted(best.values())]
+
+
+DEDUP_VOCAB = "parser crash empty input deadlock worker pool timeout socket leak cache overflow".split()
+
+
+@st.composite
+def dedup_pools(draw):
+    """Card texts with exact-text groups, near-duplicate chains and texts
+    that embed to the zero vector, under shuffled, distinct sources."""
+    texts = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["plain", "exact", "chain", "zero"]))
+        if kind == "zero":
+            mark = draw(st.sampled_from(["!!!", "?", "..."]))
+            texts += [(mark, ("--",))] * draw(st.integers(1, 3))
+            continue
+        words = draw(st.lists(st.sampled_from(DEDUP_VOCAB), min_size=1, max_size=10))
+        summary, signals = " ".join(words[:3]), tuple(words[3:])
+        texts.append((summary, signals))
+        if kind == "exact":  # same text after casefolding and whitespace collapse
+            texts.append(("  " + summary.upper(), tuple(s.title() for s in signals)))
+        elif kind == "chain":
+            for extra in draw(st.lists(st.sampled_from(DEDUP_VOCAB), min_size=1, max_size=4)):
+                signals += (extra,)
+                texts.append((summary, signals))
+    order = draw(st.permutations(range(len(texts))))
+    issues = draw(st.permutations(range(1, len(texts) + 1)))
+    repos = draw(st.lists(st.sampled_from(["acme/a", "acme/b"]), min_size=len(texts), max_size=len(texts)))
+    return [
+        make_card(repo=repos[k], issue=issues[k], pr=k + 1, summary=texts[k][0], signals=texts[k][1])
+        for k in order
+    ]
+
+
+# Thresholds stay below 1: identical vectors score 1 only up to rounding, and
+# the blocked matrix product and the per-pair dot product round differently.
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(pool=dedup_pools(), threshold=st.sampled_from([0.5, 0.8, 0.9, 0.95]))
+def test_dedup_matches_pairwise_reference(pool, threshold):
+    emb = HashingEmbedder()
+    assert dedup(pool, emb, threshold) == pairwise_dedup(pool, emb, threshold)
+
+
+def test_dedup_pairs_across_row_blocks():
+    # 600 cards scan in row blocks [0, 256), [256, 512) and the partial [512, 600).
+    n = 600
+    cards = [
+        make_card(
+            issue=n - i,  # later cards have smaller sources
+            pr=i,
+            summary=f"unique{i} failure{i}",
+            signals=tuple(f"card{i}token{j}" for j in range(12)),
+        )
+        for i in range(n)
+    ]
+    for i, mark in ((7, "!!!"), (300, "???"), (520, "...")):  # zero vectors
+        cards[i] = make_card(issue=n - i, pr=i, summary=mark, signals=("--",))
+
+    def twin_of(i, j):  # card j becomes a near-duplicate of card i
+        base = cards[i]
+        cards[j] = make_card(
+            issue=n - j,
+            pr=j,
+            summary=base.index.problem_summary,
+            signals=base.index.signals + (f"variant{j}",),
+        )
+
+    groups = [(255, 256), (511, 512), (10, 599), (3, 299, 550)]
+    for group in groups:
+        for j in group[1:]:
+            twin_of(group[0], j)
+    emb = HashingEmbedder()
+    for group in groups:
+        for j in group[1:]:
+            a, b = (emb.embed(compose_index_text(cards[k])) for k in (group[0], j))
+            assert cosine_similarity(a, b) >= 0.95  # fixture sanity
+    losers = {k for group in groups for k in group if k != max(group)}
+    survivors = dedup(cards, emb, threshold=0.95)
+    assert survivors == [c for i, c in enumerate(cards) if i not in losers]
+    assert survivors == pairwise_dedup(cards, emb, 0.95)
 
 
 # --- persistence -------------------------------------------------------------
