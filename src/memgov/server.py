@@ -2,23 +2,28 @@
 
 Endpoints (JSON bodies):
 
-* POST /v1/search         {"query", "top_k"?, "session_id"?}, 1 <= top_k <= 100
+* POST /v1/search         {"query", "top_k"?, "session_id"?}, 1 <= top_k <= 100,
+                          query at most 4,096 characters
                           -> {"hits": [{"card_id", "similarity",
                               "preview": {"problem_summary", "signals"}}]}
 * POST /v1/browse         {"card_id", "session_id"?} -> full card object
 * POST /v1/session        {} -> {"session_id"}
 * GET  /v1/session/{id}   -> {"session_id", "rounds": [...]}
 * POST /v1/transfer_brief {"session_id", "card_ids"} -> transfer brief
-* GET  /v1/health         -> {"status", "card_count", "dimension"}
+* GET  /v1/health         -> {"status", "card_count", "dimension", "embedder_id"}
 
 Errors use the uniform envelope {"error": {"code", "message"}}: 4xx for
-client faults, 5xx for service faults. Search responses never contain
-resolution-layer content; browsing is the only way to read it.
+client faults, 5xx for service faults. A body whose Content-Length exceeds
+1 MiB answers 413 payload_too_large without being read, and the connection
+closes. Search responses never contain resolution-layer content; browsing
+is the only way to read it.
 
 Sessions are server-side conveniences for audit and brief assembly;
-search and browse remain fully usable without one. The store snapshot is
-immutable while serving, so concurrent reads need no locking; session
-logs are the only mutable state and are synchronized internally.
+search and browse remain fully usable without one. At most 10,000 sessions
+are kept; creating one more drops the oldest, which then answers 404. The
+store snapshot is immutable while serving, so concurrent reads need no
+locking; session logs are the only mutable state and are synchronized
+internally.
 """
 
 from __future__ import annotations
@@ -38,6 +43,12 @@ from .store import DEFAULT_TOP_K, MemoryStore, SearchHit
 # Largest top_k an HTTP search may ask for: each hit's card is decoded and
 # kept, so an uncapped k lets one request decode the whole store.
 MAX_TOP_K = 100
+# Largest request body and search query accepted over HTTP; like MAX_TOP_K
+# they bound what one request can make the server hold.
+MAX_BODY_BYTES = 1_048_576
+MAX_QUERY_CHARS = 4096
+# Most live sessions; creating one more evicts the oldest created.
+MAX_SESSIONS = 10_000
 
 
 @dataclass(frozen=True)
@@ -113,7 +124,8 @@ class TransferBrief:
 
 
 class SessionRegistry:
-    """Append-only session logs; timestamps never decrease."""
+    """Append-only session logs; timestamps never decrease. Holds at most
+    MAX_SESSIONS logs: creating one more forgets the oldest created."""
 
     def __init__(self):
         self._sessions: dict[str, SessionLog] = {}
@@ -123,6 +135,8 @@ class SessionRegistry:
     def create(self) -> str:
         session_id = uuid.uuid4().hex
         with self._lock:
+            if len(self._sessions) >= MAX_SESSIONS:
+                del self._sessions[next(iter(self._sessions))]  # dicts keep creation order
             self._sessions[session_id] = SessionLog(session_id=session_id)
         return session_id
 
@@ -225,11 +239,12 @@ class ToolService:
 
     def health(self) -> dict:
         if self.store is None:
-            return {"status": "empty", "card_count": 0, "dimension": 0}
+            return {"status": "empty", "card_count": 0, "dimension": 0, "embedder_id": None}
         return {
             "status": "ok",
             "card_count": len(self.store),
             "dimension": self.store.dimension,
+            "embedder_id": self.store.embedder.embedder_id,
         }
 
 
@@ -275,6 +290,10 @@ class _Handler(BaseHTTPRequestHandler):
             length = -1
         if length < 0:
             raise _ApiError(400, "invalid_request", f"bad Content-Length {header!r}")
+        if length > MAX_BODY_BYTES:  # HTTP/1.0: the connection closes after the answer
+            raise _ApiError(
+                413, "payload_too_large", f"body of {length} bytes exceeds {MAX_BODY_BYTES}"
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -337,6 +356,10 @@ class _Handler(BaseHTTPRequestHandler):
     def _search(self, body: dict) -> dict:
         if "query" not in body or not isinstance(body["query"], str):
             raise _ApiError(400, "invalid_request", "search needs a string 'query'")
+        if len(body["query"]) > MAX_QUERY_CHARS:
+            raise _ApiError(
+                400, "invalid_request", f"query longer than {MAX_QUERY_CHARS} characters"
+            )
         top_k = body.get("top_k", DEFAULT_TOP_K)
         if not isinstance(top_k, int) or isinstance(top_k, bool) or not 1 <= top_k <= MAX_TOP_K:
             raise _ApiError(

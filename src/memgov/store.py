@@ -28,7 +28,20 @@ line therefore surfaces as StoreFormatError when it is first read.
 In memory, search needs one float32 (count, dimension) matrix and one float64
 norm per row, nothing else. A loaded store's matrix is a read-only view of
 the vectors.bin bytes; indexing a card copies it into a matrix whose
-capacity doubles as it fills.
+capacity doubles as it fills. Every norm is finite and positive: load
+refuses a zero, NaN or infinite row, and index_card a vector that is one.
+
+Search is a filter-then-verify scan that returns exactly the hits and
+similarity floats of a float64 einsum scan of every row. The filter scores
+every row with float32 BLAS and keeps the rows within 2 * beta of the k-th
+largest float32 score, where beta bounds the float32 score's distance from
+the exact one for every row, whatever the BLAS summation order. Any row
+that reaches the exact k-th similarity scores at least it minus beta, and
+the float32 k-th score is at most it plus beta, so the candidates hold the
+exact top k and every row tied with the k-th. The exact pass scores only
+the candidates with the float64 einsum; its per-row reduction is a pure
+function of the row, so a gathered row scores bit-identically to the same
+row in an all-rows scan. MemoryStore._candidates gives beta and the proof.
 """
 
 from __future__ import annotations
@@ -61,6 +74,8 @@ _HEADER = 16  # magic, u32 count, u32 dimension
 _TRAILER = 8  # checksum of everything before it
 _CARD_ID_PREFIX = b'{"card_id": "'  # how card_to_dict lines start once dumped
 _NORM_BLOCK = 4096  # rows per float64 block when computing norms
+_U32 = 2.0**-24  # unit roundoff of float32
+_U64 = 2.0**-53  # unit roundoff of float64
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -109,6 +124,12 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     if na == 0.0 or nb == 0.0:
         raise UnembeddableTextError("cosine similarity undefined for zero-norm vectors")
     return min(1.0, max(-1.0, float(np.dot(a, b)) / (na * nb)))
+
+
+def _gamma(d: int, u: float) -> float:
+    """Higham's gamma_d(u) = d*u / (1 - d*u), the relative error bound of a
+    d-term dot product at unit roundoff u; infinite once d*u >= 1."""
+    return d * u / (1.0 - d * u) if d * u < 1.0 else np.inf
 
 
 def _row_norms(matrix: np.ndarray) -> np.ndarray:
@@ -196,9 +217,9 @@ class MemoryStore:
     def _append(self, card: ExperienceCard, vector: np.ndarray) -> None:
         wide = vector.astype(np.float64)
         norm = np.sqrt(np.vecdot(wide, wide))  # as _row_norms computes it
-        if not norm > 0.0:
+        if not 0.0 < norm < np.inf:
             raise UnembeddableTextError(
-                f"index text of card {card.card_id!r} embeds to the zero vector"
+                f"index text of card {card.card_id!r} embeds to the zero vector or a non-finite one"
             )
         row = len(self._ids)
         if row == len(self._matrix):  # full, or a read-only view of vectors.bin
@@ -240,12 +261,16 @@ class MemoryStore:
     def search(self, query: str, k: int = DEFAULT_TOP_K) -> list[SearchHit]:
         """Top-k flat scan by cosine similarity, ties by card id ascending.
 
-        Similarities come from einsum rather than BLAS gemv: einsum's per-row
-        float64 reduction is a pure function of the row, so rows with equal
-        similarity get exactly equal floats and the card-id tie-break
-        matches a per-pair cosine_similarity scan. Only the rows scoring at
-        least the k-th largest similarity are sorted, which keeps every
-        tie across that cut.
+        The scan runs in two passes. The filter (_candidates) scores every
+        row with float32 BLAS and keeps the rows that may reach the top k.
+        The exact pass scores only those rows with einsum, whose per-row
+        float64 reduction is a pure function of the row: a gathered row
+        gets the same float as in a scan of all rows, rows with equal
+        similarity get exactly equal floats, and the card-id tie-break
+        matches a per-pair cosine_similarity scan. Of the exact scores,
+        only the rows at or above the k-th largest are sorted, which keeps
+        every tie across that cut. Hits and similarities are therefore
+        those of an exact scan of every row.
         """
         if k < 1:
             raise DataError(f"k must be >= 1, got {k}")
@@ -254,23 +279,80 @@ class MemoryStore:
             return []
         q = np.asarray(self.embedder.embed(query), dtype=np.float64)
         qnorm = float(np.linalg.norm(q))
-        if qnorm == 0.0:
-            raise UnembeddableTextError("query embeds to the zero vector")
-        sims = np.einsum("ij,j->i", self._matrix[:n], q)
-        sims /= self._norms[:n] * qnorm
+        if not 0.0 < qnorm < np.inf:
+            raise UnembeddableTextError("query embeds to the zero vector or a non-finite one")
+        picked = self._candidates(q / qnorm, qnorm, k)
+        if picked is None:
+            rows, matrix, norms = range(n), self._matrix[:n], self._norms[:n]
+        else:
+            rows, matrix, norms = picked.tolist(), self._matrix[picked], self._norms[picked]
+        sims = np.einsum("ij,j->i", matrix, q)
+        sims /= norms * qnorm
         np.clip(sims, -1.0, 1.0, out=sims)
         # The k-th largest similarity, or the clip floor when every row is a hit.
-        cut = np.partition(sims, n - k)[n - k] if k < n else -1.0
-        rows = np.flatnonzero(sims >= cut).tolist()
-        rows = sorted(rows, key=lambda row: (-float(sims[row]), self._ids[row]))[:k]
+        m = len(rows)
+        cut = np.partition(sims, m - k)[m - k] if k < m else -1.0
+        top = np.flatnonzero(sims >= cut).tolist()
+        top = sorted(top, key=lambda i: (-float(sims[i]), self._ids[rows[i]]))[:k]
         return [
             SearchHit(
-                card_id=self._ids[row],
-                similarity=float(sims[row]),
-                preview=self._card_at(row).index,
+                card_id=self._ids[rows[i]],
+                similarity=float(sims[i]),
+                preview=self._card_at(rows[i]).index,
             )
-            for row in rows
+            for i in top
         ]
+
+    def _candidates(self, p: np.ndarray, qnorm: float, k: int) -> np.ndarray | None:
+        """The rows that may hold the exact top k for the unit query p =
+        q / qnorm, ascending; None when every row must be scored exactly.
+
+        Each row x is scored a = clip(fl32(x . p32) / N) with float32 BLAS,
+        where p32 is p rounded to float32 and N the row's stored norm; the
+        exact pass scores s = clip(fl64(x . q) / (N * qnorm)). Whatever the
+        BLAS summation order or thread count, |a - s| <= beta for every
+        row (Higham, Accuracy and Stability, section 3.1, plus
+        Cauchy-Schwarz), with gamma_d(u) = d*u / (1 - d*u) and
+
+            beta = (1 + 2^-20) * (gamma_d(2^-24) * |p32| + |p32 - p|
+                                  + gamma_d(2^-53))
+                   + d * (2^-149 + 2^-1074 / qnorm) / min N + 2^-40.
+
+        The first line is the rounding of the float32 dot product, of p to
+        float32 and of the float64 dot product; its factor covers the
+        float64 rounding of the norms, which changes each term by a
+        relative (2d + 10) * 2^-53 < 2^-27 while gamma_d(2^-24) < 1, i.e.
+        d < 2^23. The second line covers underflow of the d products in
+        float32 and in float64 (gradual underflow errs by at most the
+        smallest subnormal per product), and the divisions and the
+        subtraction in the cut below, each a few 2^-53.
+
+        Let S_k be the exact k-th largest s and A_k the k-th largest a.
+        A row with s >= S_k has a >= S_k - beta, and A_k <= S_k + beta
+        because every a is at most its s + beta; so the row has
+        a >= A_k - 2 beta and is a candidate. Candidates thus include
+        every exact top-k row and every row tied with the k-th, and the
+        k-th largest exact score among them is S_k.
+        """
+        n = len(self._ids)
+        if k >= n:
+            return None
+        d = self.dimension
+        p32 = p.astype(np.float32)
+        p32_norm = float(np.linalg.norm(p32.astype(np.float64)))
+        norms = self._norms[:n]
+        beta = (1.0 + 2.0**-20) * (
+            _gamma(d, _U32) * p32_norm + float(np.linalg.norm(p32 - p)) + _gamma(d, _U64)
+        ) + d * (2.0**-149 + 2.0**-1074 / qnorm) / norms.min() + 2.0**-40
+        # Scores lie in [-1, 1], so beta >= 1 filters nothing. With beta < 1,
+        # partial sums of the float32 dot stay below 2 * |x| * |p32|, which
+        # the second test keeps inside float32's range.
+        if not beta < 1.0 or 2.0 * float(norms.max()) * p32_norm >= 2.0**127:
+            return None
+        approx = self._matrix[:n] @ p32 / norms
+        np.clip(approx, -1.0, 1.0, out=approx)
+        kth = np.partition(approx, n - k)[n - k]
+        return np.flatnonzero(approx >= kth - 2.0 * beta)
 
     def save(self, directory: str | Path) -> None:
         """Persist cards, vectors, and manifest in format 2; load() restores
@@ -380,8 +462,14 @@ class MemoryStore:
                 card_id = card.card_id
                 store._cards[card_id] = card
             ids.append(card_id)
+        norms = _row_norms(matrix)
+        bad = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))
+        if len(bad):
+            raise StoreFormatError(
+                f"vectors.bin row {bad[0] + 1} (card {ids[bad[0]]!r}) is zero or not finite"
+            )
         store._ids, store._lines = ids, lines
-        store._matrix, store._norms = matrix, _row_norms(matrix)
+        store._matrix, store._norms = matrix, norms
         store._positions = dict(zip(ids, range(count)))
         if len(store._positions) != count:
             repeated = next(i for row, i in enumerate(ids) if store._positions[i] != row)

@@ -9,9 +9,14 @@ import requests
 
 from memgov.embedding import HashingEmbedder
 from memgov.server import (
+    MAX_BODY_BYTES,
+    MAX_QUERY_CHARS,
+    MAX_SESSIONS,
     BrowseRequest,
     SearchRequest,
+    SessionRegistry,
     ToolService,
+    UnknownSessionError,
     make_http_server,
 )
 from memgov.store import MemoryStore
@@ -63,7 +68,12 @@ def deep_keys(obj):
 def test_health(live):
     base, _service, cards = live
     body = requests.get(f"{base}/v1/health").json()
-    assert body == {"status": "ok", "card_count": len(cards), "dimension": 256}
+    assert body == {
+        "status": "ok",
+        "card_count": len(cards),
+        "dimension": 256,
+        "embedder_id": "feature-hash-256",
+    }
 
 
 def test_search_returns_previews_only(live):
@@ -160,19 +170,52 @@ def test_non_string_session_id_is_client_error(live, session_id):
         assert resp.json()["error"]["code"] == "invalid_request"
 
 
-@pytest.mark.parametrize("length", ["abc", "-1"])
-def test_bad_content_length_is_client_error(live, length):
-    base, _service, _cards = live
+def raw_post(base, head, body=b""):
+    """Send one hand-written POST over a socket; return (status, JSON body)
+    once the server closes the connection."""
     port = int(base.rsplit(":", 1)[1])
-    request = f"POST /v1/search HTTP/1.0\r\nContent-Length: {length}\r\n\r\n{{}}"
     with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
-        sock.sendall(request.encode())
+        sock.sendall(head.encode() + b"\r\n\r\n" + body)
         response = b""
         while chunk := sock.recv(4096):
             response += chunk
-    head, _, body = response.partition(b"\r\n\r\n")
-    assert head.split()[1] == b"400"
-    assert json.loads(body)["error"]["code"] == "invalid_request"
+    status_line, _, payload = response.partition(b"\r\n\r\n")
+    return int(status_line.split()[1]), json.loads(payload)
+
+
+@pytest.mark.parametrize("length", ["abc", "-1"])
+def test_bad_content_length_is_client_error(live, length):
+    base, _service, _cards = live
+    status, body = raw_post(base, f"POST /v1/search HTTP/1.0\r\nContent-Length: {length}", b"{}")
+    assert status == 400
+    assert body["error"]["code"] == "invalid_request"
+
+
+def test_oversized_body_is_refused_unread(live):
+    base, _service, _cards = live
+    # No body follows the header: the server answers and closes without
+    # waiting for the megabyte it was promised.
+    head = f"POST /v1/search HTTP/1.0\r\nContent-Length: {MAX_BODY_BYTES + 1}"
+    status, body = raw_post(base, head)
+    assert status == 413
+    assert body["error"]["code"] == "payload_too_large"
+    payload = json.dumps({"query": "worker pool deadlock"}).ljust(MAX_BODY_BYTES).encode()
+    status, body = raw_post(base, f"POST /v1/search HTTP/1.0\r\nContent-Length: {len(payload)}", payload)
+    assert status == 200
+    assert len(body["hits"]) == 5
+
+
+@pytest.mark.parametrize("chars, status", [(MAX_QUERY_CHARS, 200), (MAX_QUERY_CHARS + 1, 400)])
+def test_search_caps_query_length(live, chars, status):
+    base, _service, _cards = live
+    query = ("deadlock " * chars)[:chars]
+    payload = json.dumps({"query": query}).encode()
+    status_got, body = raw_post(base, f"POST /v1/search HTTP/1.0\r\nContent-Length: {len(payload)}", payload)
+    assert status_got == status
+    if status == 400:
+        assert body["error"]["code"] == "invalid_request"
+    else:
+        assert body["hits"]
 
 
 def test_session_flow_over_http(live):
@@ -264,6 +307,30 @@ def test_session_rounds_are_append_only_under_concurrency():
     assert len(log.rounds) == 100
     timestamps = [r.timestamp for r in log.rounds]
     assert timestamps == sorted(timestamps)
+
+
+def test_session_registry_drops_the_oldest_beyond_its_cap(live):
+    base, service, _cards = live
+    service.sessions = SessionRegistry()
+    first = requests.post(f"{base}/v1/session", json={}).json()["session_id"]
+    for _ in range(MAX_SESSIONS - 1):
+        service.sessions.create()
+    assert len(service.sessions._sessions) == MAX_SESSIONS
+    assert requests.get(f"{base}/v1/session/{first}").status_code == 200
+    last = requests.post(f"{base}/v1/session", json={}).json()["session_id"]
+    assert len(service.sessions._sessions) == MAX_SESSIONS
+    resp = requests.get(f"{base}/v1/session/{first}")
+    assert resp.status_code == 404
+    assert resp.json()["error"]["code"] == "not_found"
+    resp = requests.post(f"{base}/v1/search", json={"query": "deadlock", "session_id": first})
+    assert resp.status_code == 404
+    resp = requests.post(f"{base}/v1/search", json={"query": "deadlock", "session_id": last})
+    assert resp.status_code == 200
+    assert [r["kind"] for r in requests.get(f"{base}/v1/session/{last}").json()["rounds"]] == [
+        "search"
+    ]
+    with pytest.raises(UnknownSessionError):
+        service.sessions.get(first)
 
 
 def test_search_request_validation():

@@ -204,6 +204,125 @@ def test_k_beyond_store_size_returns_every_card_ranked():
     assert hits == store.search("alpha failure", k=7)
 
 
+class TableEmbedder:
+    """Maps each text to a fixed vector, so that tests choose the rows and
+    the query directly."""
+
+    def __init__(self, dimension, table):
+        self.dimension = dimension
+        self.embedder_id = f"table-{dimension}"
+        self.table = table
+
+    def embed(self, text):
+        return self.table[text]
+
+
+def table_store(vectors, issues=None):
+    """A store whose row i holds vectors[i], with card ids ordered by
+    `issues` (a permutation) rather than by row."""
+    issues = issues if issues is not None else range(1, len(vectors) + 1)
+    cards = [make_card(issue=issue, pr=issue, summary=f"row {row}") for row, issue in enumerate(issues)]
+    table = {compose_index_text(c): np.asarray(v, dtype=np.float32) for c, v in zip(cards, vectors)}
+    store = MemoryStore(TableEmbedder(len(vectors[0]), table))
+    for c in cards:
+        store.index_card(c)
+    return store
+
+
+def reference_search(store, query, k):
+    """The exact all-rows scan that search() must reproduce bit for bit:
+    float64 einsum over every row, norm division, clip, partition and the
+    (-similarity, card id) sort."""
+    n = len(store)
+    ids = store.card_ids()
+    q = np.asarray(store.embedder.embed(query), dtype=np.float64)
+    qnorm = float(np.linalg.norm(q))
+    wide = store.vectors.astype(np.float64)
+    sims = np.einsum("ij,j->i", store.vectors, q)
+    sims /= np.sqrt(np.vecdot(wide, wide)) * qnorm
+    np.clip(sims, -1.0, 1.0, out=sims)
+    cut = np.partition(sims, n - k)[n - k] if k < n else -1.0
+    rows = sorted(np.flatnonzero(sims >= cut).tolist(), key=lambda r: (-float(sims[r]), ids[r]))
+    return [(ids[r], float(sims[r])) for r in rows[:k]]
+
+
+def hits_of(store, query, k):
+    return [(h.card_id, h.similarity) for h in store.search(query, k)]
+
+
+@st.composite
+def scan_cases(draw):
+    """A matrix of rows with planted exact duplicates, scaled copies and
+    one-ulp neighbours (so that ties and near-ties straddle the top-k cut),
+    card ids in shuffled order, and a query that is a random vector, a row
+    or a row's neighbour."""
+    d = draw(st.sampled_from([1, 7, 256]))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.standard_normal((n, d)).astype(np.float32)
+    rows[rows == 0] = 1.0
+    for i in range(n):
+        j = int(rng.integers(n))
+        kind = draw(st.sampled_from(["own", "duplicate", "scaled", "ulp"]))
+        if kind == "duplicate":
+            rows[i] = rows[j]
+        elif kind == "scaled":
+            rows[i] = rows[j] * np.float32(draw(st.sampled_from([0.25, 3.0, 1e-3, 1e3])))
+        elif kind == "ulp":
+            rows[i] = rows[j]
+            c = int(rng.integers(d))
+            rows[i, c] = np.nextafter(rows[i, c], np.float32(np.inf))
+    query = draw(st.sampled_from(["random", "row", "near"]))
+    q = rng.standard_normal(d).astype(np.float32)
+    if query != "random":
+        q = rows[int(rng.integers(n))].copy()
+        if query == "near":
+            q[0] = np.nextafter(q[0], np.float32(-np.inf))
+    q[q == 0] = 1.0
+    issues = draw(st.permutations(range(1, n + 1)))
+    return rows, q, issues, draw(st.integers(1, n + 2)), draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=scan_cases())
+def test_search_equals_all_rows_reference(case, tmp_path_factory):
+    rows, q, issues, k, reload = case
+    store = table_store(list(rows), issues)
+    store.embedder.table["the query"] = q
+    # Spare capacity past the last row holds no row; poison it.
+    store._matrix[len(store) :] = np.nan
+    store._norms[len(store) :] = np.nan
+    expected = reference_search(store, "the query", k)
+    assert hits_of(store, "the query", k) == expected
+    if reload:  # a loaded store scans a read-only view of vectors.bin
+        path = tmp_path_factory.mktemp("scan")
+        store.save(path)
+        loaded = MemoryStore.load(path, store.embedder)
+        assert not loaded.vectors.flags.writeable
+        assert hits_of(loaded, "the query", k) == expected
+
+
+def test_float32_order_inversion_at_the_cut_is_rechecked():
+    # Summed in float32 in any order, row 0's small terms round away
+    # (0.5 + 3 * 2^-27 rounds to 0.5, and 3 * 2^-27 is below half an ulp of
+    # 0.5), so the float32 filter ranks row 0 strictly below row 1; in
+    # float64 row 0 scores about 0.5 + 2.2e-8, above row 1's exact 0.5. A
+    # filter that keeps only rows at or above the float32 k-th score, or
+    # that ranks by float32 scores, returns row 1 first.
+    t = 2.0**-26
+    rows = [[1.0, t, t, t], [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
+    store = table_store(rows)
+    store.embedder.table["the query"] = np.full(4, 0.5, dtype=np.float32)
+    wide = store.vectors.astype(np.float64)
+    approx = store.vectors @ np.full(4, 0.5, dtype=np.float32) / np.linalg.norm(wide, axis=1)
+    assert approx[0] < approx[1] == 0.5
+    first, second = store.card_ids()[:2]
+    for k in (1, 2):
+        assert hits_of(store, "the query", k) == reference_search(store, "the query", k)
+    assert [h.card_id for h in store.search("the query", 2)] == [first, second]
+    assert store.search("the query", 1)[0].similarity > 0.5
+
+
 def test_browse_returns_full_card(card):
     store = make_store([card])
     assert store.browse(card.card_id) == card
@@ -423,6 +542,30 @@ def test_index_into_loaded_store(tmp_path):
     reloaded = MemoryStore.load(tmp_path / "grown")
     assert reloaded.vectors.tobytes() == fresh.vectors.tobytes()
     assert [reloaded.browse(c.card_id) for c in cards] == cards
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0])
+def test_load_refuses_a_nan_infinite_or_zero_row(tmp_path, value):
+    store = make_store(distinct_cards(50))
+    store.save(tmp_path / "store")
+    path = tmp_path / "store" / "vectors.bin"
+    raw = bytearray(path.read_bytes())
+    start, width = 16 + 7 * 256 * 4, 256 * 4
+    raw[start : start + width] = np.full(256, value, dtype="<f4").tobytes()
+    payload = bytes(raw[:-8])
+    path.write_bytes(payload + hashlib.blake2b(payload, digest_size=8).digest())
+    with pytest.raises(StoreFormatError) as err:
+        MemoryStore.load(tmp_path / "store")
+    assert "row 8" in str(err.value)
+    assert store.card_ids()[7] in str(err.value)
+
+
+def test_index_refuses_a_non_finite_vector(card):
+    text = compose_index_text(card)
+    store = MemoryStore(TableEmbedder(2, {text: np.array([np.inf, 1.0], dtype=np.float32)}))
+    with pytest.raises(UnembeddableTextError):
+        store.index_card(card)
+    assert len(store) == 0
 
 
 def test_save_empty_store_round_trips(tmp_path):
