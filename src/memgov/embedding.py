@@ -1,8 +1,10 @@
 """Text embedding interface with a deterministic default implementation.
 
-The default embedder is signed feature hashing: tokenize on
-non-alphanumerics, case-fold, hash each token into one of d buckets with a
-stable signed hash, and L2-normalize the nonzero result. It is fully
+The default embedder is signed feature hashing: case-fold, take each
+maximal run of ASCII letters and digits as a token, hash each token into
+one of d buckets with a stable signed hash (the 8-byte blake2b of the
+token, little-endian: bucket h mod d, sign - when bit 63 is set), and
+L2-normalize the nonzero sum. It is fully
 deterministic across runs and platforms, which is what correctness tests
 and reproducible pipelines need. Retrieval-quality deployments can plug
 any provider in behind the same interface; the store's manifest records
@@ -22,8 +24,14 @@ import numpy as np
 DEFAULT_DIMENSION = 256
 
 _TOKEN = re.compile(r"[A-Za-z0-9]+")
+# Maps every byte but ASCII [A-Za-z0-9] to a space. Every byte of a non-ASCII
+# character's UTF-8 is >= 0x80, so splitting the translated UTF-8 of a text
+# yields exactly _TOKEN.findall of the text, as bytes.
+_NON_TOKEN_TO_SPACE = bytes(
+    c if chr(c).isascii() and chr(c).isalnum() else 0x20 for c in range(256)
+)
 
-# Most entries in each HashingEmbedder's token -> slot cache; a full cache is
+# Most entries in each HashingEmbedder's token -> code cache; a full cache is
 # emptied. Above the ~58k distinct tokens of the benchmark's generated
 # 135k-card corpus, so indexing it never empties the cache.
 TOKEN_CACHE_SIZE = 1 << 16
@@ -54,7 +62,7 @@ class HashingEmbedder:
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         self._dimension = dimension
-        self._cache: dict[str, tuple[int, float]] = {}
+        self._cache: dict[bytes, int] = {}
         self._cache_lock = threading.Lock()
 
     @property
@@ -65,25 +73,33 @@ class HashingEmbedder:
     def embedder_id(self) -> str:
         return f"feature-hash-{self._dimension}"
 
-    def _slot(self, token: str) -> tuple[int, float]:
-        slot = self._cache.get(token)
-        if slot is None:
-            digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-            value = int.from_bytes(digest, "little")
-            slot = (value % self._dimension, 1.0 if value >> 63 == 0 else -1.0)
+    def _code(self, token: bytes) -> int:
+        """The token's bucket, plus the dimension when its sign is negative."""
+        code = self._cache.get(token)
+        if code is None:
+            value = int.from_bytes(hashlib.blake2b(token, digest_size=8).digest(), "little")
+            code = value % self._dimension + self._dimension * (value >> 63)
             # Emptying rather than evicting keeps a hit one plain dict lookup;
             # the lock keeps concurrent misses from overfilling the cache.
             with self._cache_lock:
                 if len(self._cache) >= TOKEN_CACHE_SIZE:
                     self._cache.clear()
-                self._cache[token] = slot
-        return slot
+                self._cache[token] = code
+        return code
 
     def embed(self, text: str) -> np.ndarray:
-        acc = np.zeros(self._dimension, dtype=np.float64)
-        for token in _TOKEN.findall(text.casefold()):
-            bucket, sign = self._slot(token)
-            acc[bucket] += sign
+        # surrogatepass: a lone surrogate (JSON can carry one) is a non-token
+        # character like any other, never an encoding error.
+        utf8 = text.casefold().encode("utf-8", "surrogatepass")
+        tokens = utf8.translate(_NON_TOKEN_TO_SPACE).split()
+        cache = self._cache
+        try:
+            codes = [cache[token] for token in tokens]
+        except KeyError:  # a new token, or another thread emptied the cache
+            codes = [self._code(token) for token in tokens]
+        counts = np.bincount(codes, minlength=2 * self._dimension)
+        # Sums of +-1 are small integers, exact in any order.
+        acc = (counts[: self._dimension] - counts[self._dimension :]).astype(np.float64)
         norm = float(np.linalg.norm(acc))
         if norm > 0.0:
             acc /= norm

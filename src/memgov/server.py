@@ -14,9 +14,12 @@ Endpoints (JSON bodies):
 
 Errors use the uniform envelope {"error": {"code", "message"}}: 4xx for
 client faults, 5xx for service faults. A body whose Content-Length exceeds
-1 MiB answers 413 payload_too_large without being read, and the connection
-closes. Search responses never contain resolution-layer content; browsing
-is the only way to read it.
+1 MiB answers 413 payload_too_large without being parsed. The server then
+closes its side and reads and drops what the client still sends, at most
+64 MiB for at most 2 s, so that a client that wrote the whole body before
+reading still gets the answer rather than a reset. A body nested too deeply
+to parse answers 400 invalid_json. Search responses never contain
+resolution-layer content; browsing is the only way to read it.
 
 Sessions are server-side conveniences for audit and brief assembly;
 search and browse remain fully usable without one. At most 10,000 sessions
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import json
 import re
+import socket
 import threading
 import time
 import uuid
@@ -47,6 +51,9 @@ MAX_TOP_K = 100
 # they bound what one request can make the server hold.
 MAX_BODY_BYTES = 1_048_576
 MAX_QUERY_CHARS = 4096
+# Bounds on the lingering close after a 413: bytes read and dropped, and seconds.
+LINGER_BYTES = 64 << 20
+LINGER_SECONDS = 2.0
 # Most live sessions; creating one more evicts the oldest created.
 MAX_SESSIONS = 10_000
 
@@ -281,6 +288,26 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _fail(self, err: _ApiError) -> None:
         self._send(err.status, {"error": {"code": err.code, "message": err.message}})
+        if err.status == 413:
+            self._linger()
+
+    def _linger(self) -> None:
+        """Lingering close (RFC 9112, section 9.6): half-close, then drop
+        the unread body until the client closes, LINGER_SECONDS pass or
+        LINGER_BYTES are read. Closing with unread bytes would reset the
+        connection and could discard the answer before the client reads it."""
+        deadline = time.monotonic() + LINGER_SECONDS
+        left = LINGER_BYTES
+        try:
+            self.connection.shutdown(socket.SHUT_WR)
+            while left > 0 and (remaining := deadline - time.monotonic()) > 0:
+                self.connection.settimeout(remaining)
+                chunk = self.rfile.read1(min(left, 1 << 16))
+                if not chunk:
+                    break
+                left -= len(chunk)
+        except OSError:  # reset by the client, or the deadline passed
+            pass
 
     def _read_json(self) -> dict:
         header = self.headers.get("Content-Length") or "0"
@@ -290,7 +317,7 @@ class _Handler(BaseHTTPRequestHandler):
             length = -1
         if length < 0:
             raise _ApiError(400, "invalid_request", f"bad Content-Length {header!r}")
-        if length > MAX_BODY_BYTES:  # HTTP/1.0: the connection closes after the answer
+        if length > MAX_BODY_BYTES:  # answered by _fail with a lingering close
             raise _ApiError(
                 413, "payload_too_large", f"body of {length} bytes exceeds {MAX_BODY_BYTES}"
             )
@@ -301,6 +328,8 @@ class _Handler(BaseHTTPRequestHandler):
             data = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise _ApiError(400, "invalid_json", f"request body is not JSON: {exc.msg}")
+        except RecursionError:  # e.g. a megabyte of "["
+            raise _ApiError(400, "invalid_json", "request body nests too deeply")
         if not isinstance(data, dict):
             raise _ApiError(400, "invalid_request", "request body must be a JSON object")
         return data

@@ -17,29 +17,34 @@ On-disk layout (one directory per store), format 2:
                     digest of cards.jsonl
 
 A changed byte in vectors.bin or cards.jsonl raises ChecksumError at load.
-Format-1 stores stay readable: their vectors.bin has the magic "MEMGIDX1"
-and ends in a little-endian u64 FNV-1a checksum instead, and their manifest
-has no cards digest.
+A format-1 store (magic "MEMGIDX1", an FNV-1a trailer, no cards digest) is
+refused with StoreFormatError; re-run govern to rebuild it in format 2.
 
 Load decodes no card: it keeps each cards.jsonl line and its card id, and a
 card is decoded when search or browse first returns it. A malformed card
 line therefore surfaces as StoreFormatError when it is first read.
 
-In memory, search needs one float32 (count, dimension) matrix and one float64
-norm per row, nothing else. A loaded store's matrix is a read-only view of
-the vectors.bin bytes; indexing a card copies it into a matrix whose
-capacity doubles as it fills. Every norm is finite and positive: load
-refuses a zero, NaN or infinite row, and index_card a vector that is one.
+In memory, search needs one float32 (capacity, dimension) matrix and one
+float64 norm per row, nothing else. The matrix is column-major, so each
+coordinate's column is one contiguous run of floats. Load and save stream
+vectors.bin in blocks of rows, transposing between its row-major layout and
+the column-major matrix, and never hold the whole file; the on-disk format
+is unchanged. Indexing a card writes its row into spare capacity, which
+doubles as it fills. Every norm is finite and positive: load refuses a
+zero, NaN or infinite row, and index_card a vector that is one.
 
 Search is a filter-then-verify scan that returns exactly the hits and
 similarity floats of a float64 einsum scan of every row. The filter scores
-every row with float32 BLAS and keeps the rows within 2 * beta of the k-th
-largest float32 score, where beta bounds the float32 score's distance from
-the exact one for every row, whatever the BLAS summation order. Any row
-that reaches the exact k-th similarity scores at least it minus beta, and
-the float32 k-th score is at most it plus beta, so the candidates hold the
-exact top k and every row tied with the k-th. The exact pass scores only
-the candidates with the float64 einsum; its per-row reduction is a pure
+every row in float32 and keeps the rows within 2 * beta of the k-th largest
+float32 score, where beta bounds the float32 score's distance from the
+exact one for every row, whatever the summation order. For a sparse query
+it reads only the columns of the query's nonzero coordinates, so its cost
+is the query's nonzero count times the row count; a feature-hashed query
+has about 13 nonzeros of 256. Any row that reaches the exact k-th similarity
+scores at least it minus beta, and the float32 k-th score is at most it
+plus beta, so the candidates hold the exact top k and every row tied with
+the k-th. The exact pass gathers the candidates into a row-major block and
+scores them with the float64 einsum; its per-row reduction is a pure
 function of the row, so a gathered row scores bit-identically to the same
 row in an all-rows scan. MemoryStore._candidates gives beta and the proof.
 """
@@ -48,6 +53,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,38 +72,22 @@ from .errors import (
 )
 
 FORMAT_VERSION = 2
-MAGICS = {1: b"MEMGIDX1", 2: b"MEMGIDX2"}  # vectors.bin magic per format version
+MAGIC = b"MEMGIDX2"  # vectors.bin magic of format 2
 DEFAULT_TOP_K = 10
 DEFAULT_DEDUP_THRESHOLD = 0.95
 
 _HEADER = 16  # magic, u32 count, u32 dimension
 _TRAILER = 8  # checksum of everything before it
 _CARD_ID_PREFIX = b'{"card_id": "'  # how card_to_dict lines start once dumped
-_NORM_BLOCK = 4096  # rows per float64 block when computing norms
+_CHUNK_ROWS = 1024  # rows per block when load and save stream vectors.bin
 _U32 = 2.0**-24  # unit roundoff of float32
 _U64 = 2.0**-53  # unit roundoff of float64
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
 
-
-def fnv1a_64(data: bytes) -> int:
-    """64-bit FNV-1a, the format-1 vectors.bin checksum (pure Python, slow)."""
-    h = _FNV_OFFSET
-    for b in data:
-        h = ((h ^ b) * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return h
-
-
-def _blake2b_8(data: bytes) -> bytes:
-    """The 8-byte blake2b digest format 2 uses for both files."""
-    return hashlib.blake2b(data, digest_size=8).digest()
-
-
-def _vectors_trailer(version: int, payload: bytes) -> bytes:
-    if version == 1:
-        return struct.pack("<Q", fnv1a_64(payload))
-    return _blake2b_8(payload)
+def _blake2b_8(data: bytes = b""):
+    """The 8-byte blake2b hash format 2 uses for both files; update() feeds
+    it more bytes."""
+    return hashlib.blake2b(data, digest_size=8)
 
 
 @dataclass(frozen=True)
@@ -132,15 +122,13 @@ def _gamma(d: int, u: float) -> float:
     return d * u / (1.0 - d * u) if d * u < 1.0 else np.inf
 
 
-def _row_norms(matrix: np.ndarray) -> np.ndarray:
-    """The float64 norm of each row, bit-identical to np.linalg.norm of the
-    row as cosine_similarity computes it, so that scores match that oracle
-    exactly. Rows are widened one block at a time, never all at once."""
-    norms = np.empty(len(matrix))
-    for start in range(0, len(matrix), _NORM_BLOCK):
-        block = matrix[start : start + _NORM_BLOCK].astype(np.float64)
-        norms[start : start + len(block)] = np.sqrt(np.vecdot(block, block))
-    return norms
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """The float64 norm of each row of a row-major block, bit-identical to
+    np.linalg.norm of the row as cosine_similarity computes it, so that
+    scores match that oracle exactly. The widened block is row-major too:
+    vecdot's reduction order depends on the layout."""
+    wide = rows.astype(np.float64, order="C")
+    return np.sqrt(np.vecdot(wide, wide))
 
 
 def _decode_line(line: bytes, row: int) -> ExperienceCard:
@@ -170,16 +158,17 @@ class MemoryStore:
 
     Each card is held as its serialized cards.jsonl line and decoded on
     first read; decoded cards are memoised. Its vector is a row of one
-    float32 matrix, whose float64 row norms are kept next to it. Reads
-    (search, browse) are safe to run concurrently over a loaded store;
-    writes (index_card, save) require exclusive access.
+    column-major float32 matrix, whose float64 row norms are kept next to
+    it. Reads (search, browse) are safe to run concurrently over a loaded
+    store; writes (index_card, save) require exclusive access.
     """
 
     def __init__(self, embedder: Embedder):
         self.embedder = embedder
         self._ids: list[str] = []
         self._lines: list[bytes] = []  # cards.jsonl line per row, no newline
-        self._matrix = np.zeros((0, embedder.dimension), dtype=np.float32)  # rows >= count
+        # Column-major, rows >= count: self._matrix.T is row-major (dimension, rows).
+        self._matrix = np.zeros((0, embedder.dimension), dtype=np.float32, order="F")
         self._norms = np.zeros(0)  # float64 norm per matrix row
         self._positions: dict[str, int] = {}  # card id -> row
         self._cards: dict[str, ExperienceCard] = {}  # decoded cards by id
@@ -196,10 +185,11 @@ class MemoryStore:
 
     @property
     def vectors(self) -> np.ndarray:
-        """Read-only float32 view of the indexed vectors, rows in card_ids() order."""
-        view = self._matrix[: len(self._ids)]
-        view.flags.writeable = False
-        return view
+        """Read-only row-major float32 copy of the indexed vectors, rows in
+        card_ids() order."""
+        rows = np.array(self._matrix[: len(self._ids)], order="C")
+        rows.flags.writeable = False
+        return rows
 
     def index_card(self, card: ExperienceCard) -> str:
         """Embed the card's index layer and add it to the store."""
@@ -222,9 +212,9 @@ class MemoryStore:
                 f"index text of card {card.card_id!r} embeds to the zero vector or a non-finite one"
             )
         row = len(self._ids)
-        if row == len(self._matrix):  # full, or a read-only view of vectors.bin
+        if row == len(self._matrix):
             capacity = max(2 * row, 64)
-            matrix = np.empty((capacity, self.dimension), dtype=np.float32)
+            matrix = np.empty((capacity, self.dimension), dtype=np.float32, order="F")
             matrix[:row] = self._matrix[:row]
             norms = np.empty(capacity)
             norms[:row] = self._norms[:row]
@@ -262,7 +252,7 @@ class MemoryStore:
         """Top-k flat scan by cosine similarity, ties by card id ascending.
 
         The scan runs in two passes. The filter (_candidates) scores every
-        row with float32 BLAS and keeps the rows that may reach the top k.
+        row in float32 and keeps the rows that may reach the top k.
         The exact pass scores only those rows with einsum, whose per-row
         float64 reduction is a pure function of the row: a gathered row
         gets the same float as in a scan of all rows, rows with equal
@@ -282,12 +272,12 @@ class MemoryStore:
         if not 0.0 < qnorm < np.inf:
             raise UnembeddableTextError("query embeds to the zero vector or a non-finite one")
         picked = self._candidates(q / qnorm, qnorm, k)
-        if picked is None:
-            rows, matrix, norms = range(n), self._matrix[:n], self._norms[:n]
-        else:
-            rows, matrix, norms = picked.tolist(), self._matrix[picked], self._norms[picked]
+        rows = picked.tolist()
+        # Gathered row-major, so that einsum reduces each row as it would in
+        # a row-major matrix of every row.
+        matrix = np.ascontiguousarray(self._matrix[picked])
         sims = np.einsum("ij,j->i", matrix, q)
-        sims /= norms * qnorm
+        sims /= self._norms[picked] * qnorm
         np.clip(sims, -1.0, 1.0, out=sims)
         # The k-th largest similarity, or the clip floor when every row is a hit.
         m = len(rows)
@@ -303,14 +293,14 @@ class MemoryStore:
             for i in top
         ]
 
-    def _candidates(self, p: np.ndarray, qnorm: float, k: int) -> np.ndarray | None:
+    def _candidates(self, p: np.ndarray, qnorm: float, k: int) -> np.ndarray:
         """The rows that may hold the exact top k for the unit query p =
-        q / qnorm, ascending; None when every row must be scored exactly.
+        q / qnorm, ascending; every row when all must be scored exactly.
 
-        Each row x is scored a = clip(fl32(x . p32) / N) with float32 BLAS,
+        Each row x is scored a = clip(fl32(x . p32) / N) in float32,
         where p32 is p rounded to float32 and N the row's stored norm; the
         exact pass scores s = clip(fl64(x . q) / (N * qnorm)). Whatever the
-        BLAS summation order or thread count, |a - s| <= beta for every
+        summation order or BLAS thread count, |a - s| <= beta for every
         row (Higham, Accuracy and Stability, section 3.1, plus
         Cauchy-Schwarz), with gamma_d(u) = d*u / (1 - d*u) and
 
@@ -325,7 +315,12 @@ class MemoryStore:
         d < 2^23. The second line covers underflow of the d products in
         float32 and in float64 (gradual underflow errs by at most the
         smallest subnormal per product), and the divisions and the
-        subtraction in the cut below, each a few 2^-53.
+        subtraction in the cut below, each a few 2^-53. When at most a
+        quarter of p32's coordinates are nonzero, the filter skips the zero
+        ones and sums the other products in coordinate order, each product
+        and each partial sum rounded to float32. A skipped product x_j * 0 is an exact zero
+        (rows are finite), so this is the float32 dot in one more summation
+        order, and the bound holds as it stands.
 
         Let S_k be the exact k-th largest s and A_k the k-th largest a.
         A row with s >= S_k has a >= S_k - beta, and A_k <= S_k + beta
@@ -336,7 +331,7 @@ class MemoryStore:
         """
         n = len(self._ids)
         if k >= n:
-            return None
+            return np.arange(n)
         d = self.dimension
         p32 = p.astype(np.float32)
         p32_norm = float(np.linalg.norm(p32.astype(np.float64)))
@@ -348,8 +343,19 @@ class MemoryStore:
         # partial sums of the float32 dot stay below 2 * |x| * |p32|, which
         # the second test keeps inside float32's range.
         if not beta < 1.0 or 2.0 * float(norms.max()) * p32_norm >= 2.0**127:
-            return None
-        approx = self._matrix[:n] @ p32 / norms
+            return np.arange(n)
+        nz = np.flatnonzero(p32)
+        columns = self._matrix.T  # row-major (d, capacity); a view, never a copy
+        if 4 * len(nz) <= d:
+            # Term at a time over the query's nonzero coordinates, each a
+            # contiguous column. A BLAS product costs about a quarter of a
+            # term per column, so it takes over beyond d / 4 terms.
+            dot = np.zeros(n, dtype=np.float32)
+            for j in nz.tolist():
+                dot += columns[j, :n] * p32[j]
+        else:
+            dot = p32 @ columns[:, :n]
+        approx = dot / norms
         np.clip(approx, -1.0, 1.0, out=approx)
         kth = np.partition(approx, n - k)[n - k]
         return np.flatnonzero(approx >= kth - 2.0 * beta)
@@ -362,25 +368,30 @@ class MemoryStore:
         cards_blob = b"".join(line + b"\n" for line in self._lines)
         (directory / "cards.jsonl").write_bytes(cards_blob)
         count = len(self._ids)
-        payload = (
-            MAGICS[FORMAT_VERSION]
-            + struct.pack("<II", count, self.dimension)
-            + self.vectors.astype("<f4", copy=False).tobytes(order="C")
-        )
-        (directory / "vectors.bin").write_bytes(payload + _blake2b_8(payload))
+        header = MAGIC + struct.pack("<II", count, self.dimension)
+        digest = _blake2b_8(header)
+        with open(directory / "vectors.bin", "wb") as fh:
+            fh.write(header)
+            for start in range(0, count, _CHUNK_ROWS):
+                rows = np.ascontiguousarray(
+                    self._matrix[start : min(start + _CHUNK_ROWS, count)], dtype="<f4"
+                )
+                digest.update(rows)
+                fh.write(rows)
+            fh.write(digest.digest())
         manifest = {
             "format_version": FORMAT_VERSION,
             "dimension": self.dimension,
             "count": count,
             "embedder_id": self.embedder.embedder_id,
-            "cards_blake2b": _blake2b_8(cards_blob).hex(),
+            "cards_blake2b": _blake2b_8(cards_blob).hexdigest(),
         }
         (directory / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
     @classmethod
     def load(cls, directory: str | Path, embedder: Embedder | None = None) -> "MemoryStore":
-        """Load a persisted store (format 1 or 2), verifying layout and
-        checksums; cards are decoded on first read.
+        """Load a persisted store, verifying layout and checksums; cards are
+        decoded on first read.
 
         When no embedder is passed, the manifest's embedder id must name a
         default embedder; an explicitly passed embedder must match the
@@ -392,7 +403,11 @@ class MemoryStore:
             raise StoreFormatError(f"no store at {directory} (missing manifest.json)")
         manifest = json.loads(manifest_path.read_text())
         version = manifest.get("format_version")
-        if version not in MAGICS:
+        if version == 1:
+            raise StoreFormatError(
+                "format_version 1 is no longer read; re-run govern to rebuild the store"
+            )
+        if version != FORMAT_VERSION:
             raise StoreFormatError(f"unsupported format_version {version!r}")
         dimension = int(manifest["dimension"])
         count = int(manifest["count"])
@@ -416,37 +431,16 @@ class MemoryStore:
         vectors_path = directory / "vectors.bin"
         if not vectors_path.is_file():
             raise StoreFormatError(f"store at {directory} is missing vectors.bin")
-        raw = vectors_path.read_bytes()
-        if len(raw) < _HEADER + _TRAILER:
-            raise StoreFormatError("vectors.bin truncated (no room for header and checksum)")
-        if raw[: len(MAGICS[version])] != MAGICS[version]:
-            raise StoreFormatError("vectors.bin has wrong magic bytes (version mismatch?)")
-        file_count, file_dim = struct.unpack_from("<II", raw, len(MAGICS[version]))
-        if (file_count, file_dim) != (count, dimension):
-            raise StoreFormatError(
-                f"vectors.bin header ({file_count}, {file_dim}) disagrees with manifest "
-                f"({count}, {dimension})"
-            )
-        expected_len = _HEADER + count * dimension * 4 + _TRAILER
-        if len(raw) != expected_len:
-            raise StoreFormatError(
-                f"vectors.bin is {len(raw)} bytes, expected {expected_len} (truncated?)"
-            )
-        payload = memoryview(raw)[:-_TRAILER]
-        if _vectors_trailer(version, payload) != raw[-_TRAILER:]:
-            raise ChecksumError("vectors.bin failed checksum verification")
-        matrix = np.frombuffer(raw, dtype="<f4", count=count * dimension, offset=_HEADER)
-        matrix = matrix.reshape(count, dimension)
+        matrix, norms = _read_vectors(vectors_path, count, dimension)
 
         cards_path = directory / "cards.jsonl"
         if not cards_path.is_file():
             raise StoreFormatError(f"store at {directory} is missing cards.jsonl")
         blob = cards_path.read_bytes()
-        if version == 2:
-            if "cards_blake2b" not in manifest:
-                raise StoreFormatError("manifest.json lacks the cards_blake2b digest")
-            if _blake2b_8(blob).hex() != manifest["cards_blake2b"]:
-                raise ChecksumError("cards.jsonl failed checksum verification")
+        if "cards_blake2b" not in manifest:
+            raise StoreFormatError("manifest.json lacks the cards_blake2b digest")
+        if _blake2b_8(blob).hexdigest() != manifest["cards_blake2b"]:
+            raise ChecksumError("cards.jsonl failed checksum verification")
         lines = blob.split(b"\n")
         if lines[-1] == b"":
             lines.pop()
@@ -462,7 +456,6 @@ class MemoryStore:
                 card_id = card.card_id
                 store._cards[card_id] = card
             ids.append(card_id)
-        norms = _row_norms(matrix)
         bad = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))
         if len(bad):
             raise StoreFormatError(
@@ -475,6 +468,43 @@ class MemoryStore:
             repeated = next(i for row, i in enumerate(ids) if store._positions[i] != row)
             raise StoreFormatError(f"cards.jsonl repeats card id {repeated!r}")
         return store
+
+
+def _read_vectors(path: Path, count: int, dimension: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stream vectors.bin into a column-major float32 matrix and the float64
+    row norms, a block of rows at a time, checking its layout and digest."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER + _TRAILER:
+            raise StoreFormatError("vectors.bin truncated (no room for header and checksum)")
+        header = fh.read(_HEADER)
+        if header[: len(MAGIC)] != MAGIC:
+            raise StoreFormatError("vectors.bin has wrong magic bytes (version mismatch?)")
+        file_count, file_dim = struct.unpack_from("<II", header, len(MAGIC))
+        if (file_count, file_dim) != (count, dimension):
+            raise StoreFormatError(
+                f"vectors.bin header ({file_count}, {file_dim}) disagrees with manifest "
+                f"({count}, {dimension})"
+            )
+        expected = _HEADER + count * dimension * 4 + _TRAILER
+        if size != expected:
+            raise StoreFormatError(f"vectors.bin is {size} bytes, expected {expected} (truncated?)")
+        digest = _blake2b_8(header)
+        matrix = np.empty((count, dimension), dtype=np.float32, order="F")
+        norms = np.empty(count)
+        buffer = memoryview(bytearray(min(count, _CHUNK_ROWS) * dimension * 4))
+        for start in range(0, count, _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, count)
+            chunk = buffer[: (stop - start) * dimension * 4]
+            if fh.readinto(chunk) != len(chunk):
+                raise StoreFormatError("vectors.bin shrank while it was read")
+            digest.update(chunk)
+            rows = np.frombuffer(chunk, dtype="<f4").reshape(stop - start, dimension)
+            matrix[start:stop] = rows
+            norms[start:stop] = _row_norms(rows)
+        if fh.read(_TRAILER) != digest.digest():
+            raise ChecksumError("vectors.bin failed checksum verification")
+    return matrix, norms
 
 
 def _normalized_text(text: str) -> str:

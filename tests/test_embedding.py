@@ -6,6 +6,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from memgov.embedding import (
     _TOKEN,
@@ -35,6 +37,28 @@ def per_token_reference(text: str, dimension: int = DEFAULT_DIMENSION) -> np.nda
     if norm > 0.0:
         acc /= norm
     return acc.astype(np.float32)
+
+
+# Any code point, lone surrogates included, mixed with ASCII letters, digits
+# and separators and with characters whose case folding is ASCII (Kelvin
+# sign, long s) or several characters (fi ligature, dotted capital I, sharp s).
+SPEC_TEXTS = st.text(
+    st.one_of(
+        st.characters(exclude_categories=()),
+        st.sampled_from(list("aZ09 -_.\n\u212a\u017f\ufb01\u0130\u00df\ud800\udfff")),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(text=SPEC_TEXTS, dimension=st.sampled_from([1, 7, DEFAULT_DIMENSION]))
+@example(text="\ud800 lone \udfff surrogates", dimension=DEFAULT_DIMENSION)
+@example(text="\u212aelvin and \u017ftate", dimension=DEFAULT_DIMENSION)
+def test_embed_matches_the_spec_reference(text, dimension):
+    emb = HashingEmbedder(dimension)
+    assert emb.embed(text).tobytes() == per_token_reference(text, dimension).tobytes()
+    assert emb.embed(text).tobytes() == per_token_reference(text, dimension).tobytes()  # cached
 
 
 def test_token_cache_stays_at_its_bound():

@@ -6,12 +6,15 @@ import threading
 
 import pytest
 import requests
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from memgov.embedding import HashingEmbedder
 from memgov.server import (
     MAX_BODY_BYTES,
     MAX_QUERY_CHARS,
     MAX_SESSIONS,
+    MAX_TOP_K,
     BrowseRequest,
     SearchRequest,
     SessionRegistry,
@@ -203,6 +206,60 @@ def test_oversized_body_is_refused_unread(live):
     status, body = raw_post(base, f"POST /v1/search HTTP/1.0\r\nContent-Length: {len(payload)}", payload)
     assert status == 200
     assert len(body["hits"]) == 5
+
+
+def test_oversized_body_sent_in_full_still_gets_the_413(live):
+    base, _service, _cards = live
+    # The client writes the whole 4 MB body before it reads. The server
+    # answers first, then drops the body until the client closes, so the
+    # answer arrives rather than a connection reset.
+    body = b"x" * (4 << 20)
+    status, payload = raw_post(base, f"POST /v1/search HTTP/1.0\r\nContent-Length: {len(body)}", body)
+    assert status == 413
+    assert payload["error"]["code"] == "payload_too_large"
+
+
+@pytest.fixture(scope="module")
+def served():
+    service, _cards = build_service()
+    server = make_http_server(service)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_address[1]}", service.sessions.create()
+    server.shutdown()
+    server.server_close()
+
+
+# Any code point in strings, lone surrogates included (json.dumps escapes
+# them as \udxxx), and NaN and infinities, which Python's JSON reads.
+JSON_TEXT = st.text(st.characters(exclude_categories=()), max_size=20)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=10,
+)
+SEARCH_BODIES = st.one_of(
+    JSON_VALUES,
+    st.fixed_dictionaries(
+        {"query": JSON_TEXT | JSON_VALUES},
+        optional={
+            "top_k": st.integers(-2, MAX_TOP_K + 2) | JSON_VALUES,
+            "session_id": st.just("<live session>") | JSON_TEXT | JSON_VALUES,
+        },
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(body=SEARCH_BODIES.map(lambda v: json.dumps(v).encode()))
+@example(body=b"[" * 100_000)
+@example(body=b'{"query": "\\ud800 deadlock \\udfff", "top_k": 3}')
+def test_search_answers_no_500_for_any_json_body(served, body):
+    base, session_id = served
+    body = body.replace(b'"<live session>"', json.dumps(session_id).encode())
+    resp = requests.post(f"{base}/v1/search", data=body)
+    assert resp.status_code < 500, resp.text
+    assert set(resp.json()) == ({"hits"} if resp.status_code == 200 else {"error"})
 
 
 @pytest.mark.parametrize("chars, status", [(MAX_QUERY_CHARS, 200), (MAX_QUERY_CHARS + 1, 400)])
