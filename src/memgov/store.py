@@ -37,16 +37,17 @@ Search is a filter-then-verify scan that returns exactly the hits and
 similarity floats of a float64 einsum scan of every row. The filter scores
 every row in float32 and keeps the rows within 2 * beta of the k-th largest
 float32 score, where beta bounds the float32 score's distance from the
-exact one for every row, whatever the summation order. For a sparse query
-it reads only the columns of the query's nonzero coordinates, so its cost
-is the query's nonzero count times the row count; a feature-hashed query
-has about 13 nonzeros of 256. Any row that reaches the exact k-th similarity
+exact one for every row, whatever the summation order. It reads only the
+columns of the query's nonzero coordinates, so its cost is the query's
+nonzero count times the row count; a feature-hashed query has about 13
+nonzeros of 256. Any row that reaches the exact k-th similarity
 scores at least it minus beta, and the float32 k-th score is at most it
 plus beta, so the candidates hold the exact top k and every row tied with
-the k-th. The exact pass gathers the candidates into a row-major block and
-scores them with the float64 einsum; its per-row reduction is a pure
-function of the row, so a gathered row scores bit-identically to the same
-row in an all-rows scan. MemoryStore._candidates gives beta and the proof.
+the k-th. The exact pass gathers the candidates into row-major blocks of
+at most 1,024 rows and scores them with the float64 einsum; its per-row
+reduction is a pure function of the row, so a gathered row scores
+bit-identically to the same row in an all-rows scan.
+MemoryStore._candidates gives beta and the proof.
 """
 
 from __future__ import annotations
@@ -273,14 +274,17 @@ class MemoryStore:
             raise UnembeddableTextError("query embeds to the zero vector or a non-finite one")
         picked = self._candidates(q / qnorm, qnorm, k)
         rows = picked.tolist()
+        m = len(rows)
+        sims = np.empty(m)
         # Gathered row-major, so that einsum reduces each row as it would in
-        # a row-major matrix of every row.
-        matrix = np.ascontiguousarray(self._matrix[picked])
-        sims = np.einsum("ij,j->i", matrix, q)
+        # a row-major matrix of every row; in blocks, so that k >= n copies
+        # one block, not the matrix.
+        for start in range(0, m, _CHUNK_ROWS):
+            block = np.ascontiguousarray(self._matrix[picked[start : start + _CHUNK_ROWS]])
+            sims[start : start + len(block)] = np.einsum("ij,j->i", block, q)
         sims /= self._norms[picked] * qnorm
         np.clip(sims, -1.0, 1.0, out=sims)
         # The k-th largest similarity, or the clip floor when every row is a hit.
-        m = len(rows)
         cut = np.partition(sims, m - k)[m - k] if k < m else -1.0
         top = np.flatnonzero(sims >= cut).tolist()
         top = sorted(top, key=lambda i: (-float(sims[i]), self._ids[rows[i]]))[:k]
@@ -315,12 +319,12 @@ class MemoryStore:
         d < 2^23. The second line covers underflow of the d products in
         float32 and in float64 (gradual underflow errs by at most the
         smallest subnormal per product), and the divisions and the
-        subtraction in the cut below, each a few 2^-53. When at most a
-        quarter of p32's coordinates are nonzero, the filter skips the zero
-        ones and sums the other products in coordinate order, each product
-        and each partial sum rounded to float32. A skipped product x_j * 0 is an exact zero
-        (rows are finite), so this is the float32 dot in one more summation
-        order, and the bound holds as it stands.
+        subtraction in the cut below, each a few 2^-53. The filter skips
+        p32's zero coordinates and sums the other products in coordinate
+        order, each product and each partial sum rounded to float32. A
+        skipped product x_j * 0 is an exact zero (rows are finite), so this
+        is the float32 dot in one more summation order, and the bound holds
+        as it stands.
 
         Let S_k be the exact k-th largest s and A_k the k-th largest a.
         A row with s >= S_k has a >= S_k - beta, and A_k <= S_k + beta
@@ -344,17 +348,12 @@ class MemoryStore:
         # the second test keeps inside float32's range.
         if not beta < 1.0 or 2.0 * float(norms.max()) * p32_norm >= 2.0**127:
             return np.arange(n)
-        nz = np.flatnonzero(p32)
         columns = self._matrix.T  # row-major (d, capacity); a view, never a copy
-        if 4 * len(nz) <= d:
-            # Term at a time over the query's nonzero coordinates, each a
-            # contiguous column. A BLAS product costs about a quarter of a
-            # term per column, so it takes over beyond d / 4 terms.
-            dot = np.zeros(n, dtype=np.float32)
-            for j in nz.tolist():
-                dot += columns[j, :n] * p32[j]
-        else:
-            dot = p32 @ columns[:, :n]
+        # Term at a time over the query's nonzero coordinates, each a
+        # contiguous column.
+        dot = np.zeros(n, dtype=np.float32)
+        for j in np.flatnonzero(p32).tolist():
+            dot += columns[j, :n] * p32[j]
         approx = dot / norms
         np.clip(approx, -1.0, 1.0, out=approx)
         kth = np.partition(approx, n - k)[n - k]

@@ -395,6 +395,17 @@ def test_sparse_search_equals_all_rows_reference(case, tmp_path_factory):
         assert bit_hits(MemoryStore.load(path, store.embedder), "the query", k) == expected
 
 
+@pytest.mark.parametrize("k", [2049, 2050])
+def test_every_row_search_equals_reference_across_blocks(k):
+    # With k >= n the exact pass scores every row, 1,024 rows at a time.
+    rng = np.random.default_rng(7)
+    rows = rng.standard_normal((2049, 7)).astype(np.float32)
+    rows[1500] = rows[3]  # a tie across blocks
+    store = table_store(list(rows))
+    store.embedder.table["the query"] = rng.standard_normal(7).astype(np.float32)
+    assert bit_hits(store, "the query", k) == bit_reference(store, "the query", k)
+
+
 @pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 2049])
 def test_save_load_save_is_byte_identical_across_chunks(tmp_path, count):
     # save and load stream vectors.bin in blocks of 1,024 rows.
