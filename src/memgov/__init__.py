@@ -42,7 +42,6 @@ from .purification import (
     RuleBasedCommentClassifier,
     detect_anchors,
     purify,
-    technical_content_ratio,
 )
 from .quality import (
     ChatEvaluator,

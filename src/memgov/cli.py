@@ -63,14 +63,23 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
-    return value
+def _int_in(low: int, high: int | None = None):
+    """argparse type: an integer in [low, high], unbounded above when high is None."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low or (high is not None and value > high):
+            bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must be an integer {bounds}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_in(1)
 
 
 def build_parser() -> _Parser:
@@ -104,7 +113,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("search", help="query a store")
     p.add_argument("index_dir")
     p.add_argument("query")
-    p.add_argument("--top-k", type=int, default=DEFAULT_TOP_K)
+    p.add_argument("--top-k", type=_positive_int, default=DEFAULT_TOP_K)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("browse", help="fetch one full card by id")
@@ -115,14 +124,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("serve", help="serve the tool API over HTTP")
     p.add_argument("index_dir")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8080)
+    p.add_argument("--port", type=_int_in(0, 65535), default=8080)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("demo-agent", help="scripted search->browse->brief walkthrough")
     p.add_argument("index_dir")
     p.add_argument("issue_file", help="text file: first line title, rest body")
-    p.add_argument("--rounds", type=int, default=DEMO_DEFAULT_ROUNDS)
-    p.add_argument("--top-k", type=int, default=DEFAULT_TOP_K)
+    p.add_argument("--rounds", type=_positive_int, default=DEMO_DEFAULT_ROUNDS)
+    p.add_argument("--top-k", type=_positive_int, default=DEFAULT_TOP_K)
     p.set_defaults(func=cmd_demo_agent)
 
     p = sub.add_parser("stats", help="store summary from the manifest")

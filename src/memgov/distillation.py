@@ -31,7 +31,7 @@ from .diffs import hunk_stats
 from .errors import MalformedOutputError
 from .ingestion import Comment
 from .providers import ChatProvider, PromptTemplate, extract_json_object, retry_call
-from .purification import Classifier, PurifiedInstance, RuleBasedCommentClassifier, combined_thread
+from .purification import EXCEPTION_NAME, PurifiedInstance, combined_thread
 
 CARD_FIELDS = (
     "problem_summary", "signals", "root_cause", "fix_strategy", "patch_digest", "verification",
@@ -56,7 +56,6 @@ _STOPWORDS = frozenset(
 )
 
 _WORD = re.compile(r"[A-Za-z0-9_]+")
-_EXCEPTION_NAME = re.compile(r"\b\w+(?:Error|Exception)\b")
 
 _TEST_PATH_HINT = re.compile(r"(?:^|/)(?:tests?|testing)(?:/|_)|_test\.|test_", re.IGNORECASE)
 
@@ -117,17 +116,14 @@ def _collapse_repeated_runs(body: str) -> str:
     return "\n".join(out)
 
 
-def purify_content(instance: PurifiedInstance, classifier: Classifier | None = None) -> CondensedThread:
-    """Drop non-technical comments and deduplicate repeated log blocks.
+def purify_content(instance: PurifiedInstance) -> CondensedThread:
+    """Keep the comments purification judged technical and deduplicate
+    their repeated log blocks; no comment is classified again.
 
     Idempotent: condensing an already-condensed thread changes nothing.
     """
-    classifier = classifier or RuleBasedCommentClassifier()
-    original = combined_thread(instance.triplet)
     kept: list[Comment] = []
-    for comment in original:
-        if not classifier(comment):
-            continue
+    for comment in instance.technical_comments:
         collapsed = _collapse_repeated_runs(comment.body)
         if collapsed != comment.body:
             comment = Comment(comment.author_role, collapsed, comment.timestamp)
@@ -142,7 +138,7 @@ def purify_content(instance: PurifiedInstance, classifier: Classifier | None = N
         issue_title=instance.triplet.issue.title,
         issue_body=instance.triplet.issue.body,
         kept_comments=tuple(kept),
-        dropped_count=len(original) - len(kept),
+        dropped_count=len(combined_thread(instance.triplet)) - len(kept),
         diff_summary_lines=summary_lines,
     )
 
@@ -189,11 +185,11 @@ class RuleBasedDistiller:
         self.react_to_feedback = react_to_feedback
 
     def distill(self, request: DistillerRequest) -> ExperienceCard:
-        fields = self._base_fields(request)
+        anchor_names = self._anchor_tokens(request)
+        fields = self._base_fields(request, anchor_names)
         if request.feedback and self.react_to_feedback:
-            targets = self._feedback_fields(request.feedback)
-            improved = self._improved_fields(request)
-            for name in targets:
+            improved = self._improved_fields(request, fields, anchor_names)
+            for name in self._feedback_fields(request.feedback):
                 fields[name] = improved[name]
         triplet = request.instance.triplet
         return ExperienceCard(
@@ -225,10 +221,12 @@ class RuleBasedDistiller:
                     targets.append(name)
         return targets
 
-    def _anchor_tokens(self, request: DistillerRequest) -> list[str]:
+    @staticmethod
+    def _anchor_tokens(request: DistillerRequest) -> list[str]:
+        """Lower-cased exception names from the anchors, first occurrence order."""
         tokens: list[str] = []
         for anchor in request.instance.anchors:
-            for name in _EXCEPTION_NAME.findall(anchor.text):
+            for name in EXCEPTION_NAME.findall(anchor.text):
                 lower = name.lower()
                 if lower not in tokens:
                     tokens.append(lower)
@@ -237,11 +235,11 @@ class RuleBasedDistiller:
     def _scrub(self, request: DistillerRequest, text: str) -> str:
         return _scrub_identifiers(text, request.instance.triplet.repo)
 
-    def _signals(self, request: DistillerRequest, extended: bool) -> list[str]:
+    def _signals(self, request: DistillerRequest, anchor_names: list[str], extended: bool) -> list[str]:
         """Anchor tokens plus title keywords; diff-path tokens pad up to the
         minimum, and anything past the maximum is truncated."""
         triplet = request.instance.triplet
-        candidates = self._anchor_tokens(request)
+        candidates = list(anchor_names)
         for kw in _keywords(triplet.issue.title):
             if kw not in candidates:
                 candidates.append(kw)
@@ -265,7 +263,7 @@ class RuleBasedDistiller:
             filler += 1
         return signals
 
-    def _base_fields(self, request: DistillerRequest) -> dict:
+    def _base_fields(self, request: DistillerRequest, anchor_names: list[str]) -> dict:
         triplet = request.instance.triplet
         diff = request.instance.diff
         paths = diff.changed_paths()
@@ -292,7 +290,6 @@ class RuleBasedDistiller:
             chunk_lines.append(line)
         digest = "\n".join(area_lines + chunk_lines[:8])
 
-        anchor_names = self._anchor_tokens(request)
         symptom = anchor_names[0] if anchor_names else "the reported failure"
         root_cause = (
             f"{symptom} raised because the code path touching "
@@ -311,20 +308,20 @@ class RuleBasedDistiller:
 
         return {
             "problem_summary": summary,
-            "signals": self._signals(request, extended=False),
+            "signals": self._signals(request, anchor_names, extended=False),
             "root_cause": root_cause,
             "fix_strategy": fix_strategy,
             "patch_digest": digest,
             "verification": verification,
         }
 
-    def _improved_fields(self, request: DistillerRequest) -> dict:
-        """Regeneration pass: same templates, fed with more source material."""
-        fields = self._base_fields(request)
+    def _improved_fields(self, request: DistillerRequest, base: dict, anchor_names: list[str]) -> dict:
+        """Regeneration pass: the base templates, fed with more source material."""
+        fields = dict(base)
         triplet = request.instance.triplet
         anchors = request.instance.anchors
 
-        fields["signals"] = self._signals(request, extended=True)
+        fields["signals"] = self._signals(request, anchor_names, extended=True)
         first_anchor = anchors[0].text.split("\n")[-1].strip() if anchors else ""
         if first_anchor:
             scrubbed = self._scrub(request, first_anchor)

@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -36,6 +35,7 @@ from typing import Iterator, Union
 import requests
 
 from .errors import DataError, SourceError
+from .providers import retry_call
 
 DEFAULT_MIN_STARS = 100
 
@@ -275,32 +275,27 @@ class HttpForgeClient:
         self.session = requests.Session()
 
     def _get(self, path: str, params: dict | None = None) -> object:
+        """One GET of a JSON document. Connection errors, 429 and 5xx raise
+        a retryable SourceError; callers retry through providers.retry_call."""
         headers = {"Authorization": f"Bearer {self.token}"} if self.token else {}
         url = f"{self.base_url}{path}"
-        last: Exception | None = None
-        for attempt in range(self.max_retries + 1):
-            try:
-                resp = self.session.get(url, params=params, headers=headers, timeout=self.timeout)
-            except requests.RequestException as exc:
-                last = exc
-            else:
-                if resp.status_code in (429,) or resp.status_code >= 500:
-                    last = SourceError(f"forge returned {resp.status_code} for {url}")
-                elif resp.status_code in (401, 403):
-                    raise SourceError(f"forge auth failure ({resp.status_code})", retryable=False)
-                elif resp.status_code >= 400:
-                    raise SourceError(f"forge returned {resp.status_code} for {url}", retryable=False)
-                else:
-                    try:
-                        return resp.json()
-                    except ValueError as exc:
-                        raise DataError(f"forge response is not JSON: {exc}") from exc
-            if attempt < self.max_retries:
-                time.sleep(self.backoff * (2 ** attempt))
-        raise SourceError(f"forge unreachable after {self.max_retries + 1} attempts: {last}")
+        try:
+            resp = self.session.get(url, params=params, headers=headers, timeout=self.timeout)
+        except requests.RequestException as exc:
+            raise SourceError(f"forge unreachable: {exc}") from exc
+        if resp.status_code == 429 or resp.status_code >= 500:
+            raise SourceError(f"forge returned {resp.status_code} for {url}")
+        if resp.status_code in (401, 403):
+            raise SourceError(f"forge auth failure ({resp.status_code})", retryable=False)
+        if resp.status_code >= 400:
+            raise SourceError(f"forge returned {resp.status_code} for {url}", retryable=False)
+        try:
+            return resp.json()
+        except ValueError as exc:
+            raise DataError(f"forge response is not JSON: {exc}") from exc
 
     def list_repo_stats(self) -> list[dict]:
-        payload = self._get("/repos")
+        payload = retry_call(lambda: self._get("/repos"), self.max_retries, self.backoff)
         if not isinstance(payload, list):
             raise DataError("expected a JSON array of repo stats", field="repos")
         return payload
@@ -309,7 +304,11 @@ class HttpForgeClient:
         page = 1
         counter = 0
         while page is not None:
-            payload = self._get(f"/repos/{repo}/triplets", params={"page": page})
+            payload = retry_call(
+                lambda: self._get(f"/repos/{repo}/triplets", {"page": page}),
+                self.max_retries,
+                self.backoff,
+            )
             if not isinstance(payload, dict) or "items" not in payload:
                 raise DataError("triplet page missing 'items'", field="items")
             for item in payload["items"]:

@@ -19,7 +19,8 @@ from pathlib import Path
 from typing import Iterable
 
 from .audit import AuditLog
-from .cards import ExperienceCard, validate_schema
+from .cards import ExperienceCard
+from .cards import validate_schema  # noqa: F401  perfbench/tracing.py wraps pipeline.validate_schema
 from .config import PipelineConfig
 from .distillation import Distiller, purify_content
 from .errors import ConfigError
@@ -82,7 +83,7 @@ def _process_item(
                 },
             ),
         )
-    condensed = purify_content(result, classifier)
+    condensed = purify_content(result)
     outcome = refine_loop(result, condensed, distiller, evaluator, cfg.qc)
     accepted = isinstance(outcome, QcAccepted)
     decision = {
@@ -148,19 +149,12 @@ def run_govern(
         if card.card_id not in surviving_ids:
             audit.rejection(card.source.repo, card.source.issue, card.source.pr, "duplicate")
 
+    # refine_loop accepts only cards with no schema violations, so every
+    # survivor is indexed as it is.
     store = MemoryStore(embedder)
     for card in survivors:
-        violations = validate_schema(card)
-        if violations:  # QC guarantees this does not happen; belt and braces
-            audit.rejection(
-                card.source.repo,
-                card.source.issue,
-                card.source.pr,
-                "schema: " + "; ".join(str(v) for v in violations),
-            )
-            continue
         store.index_card(card)
-        counts.indexed += 1
+    counts.indexed = len(survivors)
 
     store.save(output_dir)
     return counts

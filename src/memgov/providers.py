@@ -16,11 +16,11 @@ import threading
 import time
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, Protocol, TypeVar
 
 import requests
 
-from .errors import ConfigError, MalformedOutputError, ProviderError
+from .errors import ConfigError, MalformedOutputError, ProviderError, SourceError
 
 ENV_LLM_ENDPOINT = "MEMGOV_LLM_ENDPOINT"
 ENV_LLM_API_KEY = "MEMGOV_LLM_API_KEY"
@@ -30,6 +30,8 @@ DEFAULT_MAX_INFLIGHT = 8
 
 _PLACEHOLDER = re.compile(r"\{\{(\w+)\}\}")
 
+T = TypeVar("T")
+
 
 class ChatProvider(Protocol):
     def complete(self, prompt: str) -> str:
@@ -38,12 +40,13 @@ class ChatProvider(Protocol):
 
 
 def retry_call(
-    fn: Callable[[], str],
+    fn: Callable[[], T],
     retries: int = 3,
     backoff: float = 0.5,
     sleep: Callable[[float], None] = time.sleep,
-) -> str:
-    """Call fn, retrying retryable ProviderErrors with exponential backoff.
+) -> T:
+    """Call fn, retrying retryable ProviderErrors and SourceErrors with
+    exponential backoff.
 
     Non-retryable errors (including malformed output) propagate at once.
     """
@@ -51,7 +54,7 @@ def retry_call(
     while True:
         try:
             return fn()
-        except ProviderError as exc:
+        except (ProviderError, SourceError) as exc:
             if not exc.retryable or attempt >= retries:
                 raise
             sleep(backoff * (2 ** attempt))

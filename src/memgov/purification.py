@@ -12,7 +12,8 @@ A triplet survives purification when, in this order:
 Rejection reports the first failing check. "Technical" is decided by a
 deterministic rule-based classifier (fenced code, anchors, file paths, or
 two or more lexicon terms); an LLM classifier can be swapped in through
-the same callable interface.
+the same callable interface. Each comment is classified once: the purified
+instance keeps the technical comments, and condensation works from them.
 """
 
 from __future__ import annotations
@@ -34,10 +35,13 @@ REASON_DIFF = "unparsable-diff"
 REASON_ANCHORS = "no-anchors"
 REASON_RATIO = "low-technical-ratio"
 
+# Also the source of the rule-based distiller's exception-name signals.
+EXCEPTION_NAME = re.compile(r"\b\w+(?:Error|Exception)\b")
+
 DEFAULT_ANCHOR_PATTERNS = (
     r"Traceback \(most recent call last\)",
     r'^\s*File "[^"\n]+", line \d+',
-    r"\b\w+(?:Error|Exception)\b",
+    EXCEPTION_NAME.pattern,
     r"^.*\bassert(?:ion)?\b.*\b(?:fail(?:ed|ure|s)?|error)\b.*$",
 )
 
@@ -83,6 +87,8 @@ class PurifiedInstance:
     diff: Diff
     anchors: tuple[Anchor, ...]
     technical_ratio: float
+    # The comments the classifier judged technical, in combined-thread order.
+    technical_comments: tuple[Comment, ...]
 
 
 @dataclass(frozen=True)
@@ -189,15 +195,6 @@ class RuleBasedCommentClassifier:
 Classifier = Callable[[Comment], bool]
 
 
-def technical_content_ratio(comments: Sequence[Comment], classifier: Classifier) -> float:
-    """Fraction of comments classified technical; an empty thread is
-    vacuously 1.0."""
-    if not comments:
-        return 1.0
-    technical = sum(1 for c in comments if classifier(c))
-    return technical / len(comments)
-
-
 def combined_thread(triplet: RawTriplet) -> list[Comment]:
     """Issue comments followed by PR discussion: the ratio's domain."""
     return [*triplet.issue.comments, *triplet.pr.discussion]
@@ -226,10 +223,17 @@ def purify(
     if not anchors:
         return Rejection(triplet, REASON_ANCHORS, "no diagnostic anchors in issue or discussion")
 
-    ratio = technical_content_ratio(combined_thread(triplet), classifier)
+    thread = combined_thread(triplet)
+    technical = tuple(c for c in thread if classifier(c))
+    # The fraction of comments classified technical; an empty thread is vacuously 1.0.
+    ratio = len(technical) / len(thread) if thread else 1.0
     if ratio < cfg.tau:
         return Rejection(triplet, REASON_RATIO, f"technical ratio {ratio:.4f} < tau {cfg.tau}")
 
     return PurifiedInstance(
-        triplet=triplet, diff=diff, anchors=tuple(anchors), technical_ratio=ratio
+        triplet=triplet,
+        diff=diff,
+        anchors=tuple(anchors),
+        technical_ratio=ratio,
+        technical_comments=technical,
     )

@@ -13,11 +13,12 @@ Endpoints (JSON bodies):
 * GET  /v1/health         -> {"status", "card_count", "dimension", "embedder_id"}
 
 Errors use the uniform envelope {"error": {"code", "message"}}: 4xx for
-client faults, 5xx for service faults. A body whose Content-Length exceeds
-1 MiB answers 413 payload_too_large without being parsed. The server then
-closes its side and reads and drops what the client still sends, at most
-64 MiB for at most 2 s, so that a client that wrote the whole body before
-reading still gets the answer rather than a reset. A body nested too deeply
+client faults, and 500 only for an unexpected fault inside an endpoint. A
+body whose Content-Length exceeds 1 MiB answers 413 payload_too_large
+without being parsed. The server then closes its side and reads and drops
+what the client still sends, at most 64 MiB for at most 2 s, so that a
+client that wrote the whole body before reading still gets the answer
+rather than a reset. A body nested too deeply
 to parse answers 400 invalid_json. Search responses never contain
 resolution-layer content; browsing is the only way to read it.
 
@@ -194,18 +195,12 @@ def search_hit_to_dict(hit: SearchHit) -> dict:
 class ToolService:
     """The primitives behind the HTTP API, callable in-process as well."""
 
-    def __init__(self, store: MemoryStore | None):
+    def __init__(self, store: MemoryStore):
         self.store = store
         self.sessions = SessionRegistry()
 
-    def _require_store(self) -> MemoryStore:
-        if self.store is None:
-            raise StoreNotLoadedError("no store loaded")
-        return self.store
-
     def handle_search(self, req: SearchRequest) -> list[SearchHit]:
-        store = self._require_store()
-        hits = store.search(req.query, k=req.top_k)
+        hits = self.store.search(req.query, k=req.top_k)
         if req.session_id is not None:
             self.sessions.append(
                 req.session_id,
@@ -216,8 +211,7 @@ class ToolService:
         return hits
 
     def handle_browse(self, req: BrowseRequest) -> ExperienceCard:
-        store = self._require_store()
-        card = store.browse(req.card_id)
+        card = self.store.browse(req.card_id)
         if req.session_id is not None:
             self.sessions.append(
                 req.session_id, kind="browse", request=f"card_id={req.card_id}", result="ok"
@@ -227,7 +221,6 @@ class ToolService:
 
     def assemble_transfer_brief(self, session_id: str, card_ids: list[str]) -> TransferBrief:
         """Concatenate browsed cards' resolution fields, in browse order."""
-        store = self._require_store()
         log = self.sessions.get(session_id)
         for card_id in card_ids:
             if card_id not in log.browsed:
@@ -236,7 +229,7 @@ class ToolService:
                 )
         wanted = set(card_ids)
         ordered = [cid for cid in log.browsed if cid in wanted]
-        cards = [store.browse(cid) for cid in ordered]
+        cards = [self.store.browse(cid) for cid in ordered]
         return TransferBrief(
             root_cause_pattern="\n\n".join(c.resolution.root_cause for c in cards),
             modification_logic="\n\n".join(c.resolution.fix_strategy for c in cards),
@@ -245,18 +238,12 @@ class ToolService:
         )
 
     def health(self) -> dict:
-        if self.store is None:
-            return {"status": "empty", "card_count": 0, "dimension": 0, "embedder_id": None}
         return {
             "status": "ok",
             "card_count": len(self.store),
             "dimension": self.store.dimension,
             "embedder_id": self.store.embedder.embedder_id,
         }
-
-
-class StoreNotLoadedError(MemgovError):
-    pass
 
 
 class _ApiError(Exception):
@@ -367,8 +354,6 @@ class _Handler(BaseHTTPRequestHandler):
                 raise _ApiError(404, "not_found", f"unknown path {self.path}")
         except _ApiError as err:
             self._fail(err)
-        except StoreNotLoadedError as exc:
-            self._fail(_ApiError(503, "store_not_loaded", str(exc)))
         except UnembeddableTextError as exc:
             self._fail(_ApiError(400, "unembeddable_query", str(exc)))
         except UnknownCardError as exc:

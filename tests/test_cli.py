@@ -273,6 +273,23 @@ def test_bad_flag_is_usage_error(capsys):
     assert run_cli(capsys, "stats", "somewhere", "--bogus")[0] == 1
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("serve", "somewhere", "--port", "-1"), "--port"),
+        (("serve", "somewhere", "--port", "70000"), "--port"),
+        (("search", "somewhere", "deadlock", "--top-k", "0"), "--top-k"),
+        (("demo-agent", "somewhere", "issue.txt", "--top-k", "-1"), "--top-k"),
+        (("demo-agent", "somewhere", "issue.txt", "--rounds", "-2"), "--rounds"),
+        (("demo-agent", "somewhere", "issue.txt", "--rounds", "0"), "--rounds"),
+    ],
+)
+def test_out_of_range_flag_is_usage_error(capsys, argv, flag):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("usage error: ") and flag in err
+
+
 # --- demo agent ---------------------------------------------------------------
 
 

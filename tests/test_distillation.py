@@ -13,7 +13,9 @@ from memgov.distillation import (
 from memgov.errors import MalformedOutputError, ProviderError
 from memgov.providers import PromptTemplate
 
-from conftest import make_comment, make_instance
+from memgov.purification import RuleBasedCommentClassifier, combined_thread, purify
+
+from conftest import make_comment, make_instance, make_triplet
 
 TECHNICAL = "I hit this error and the traceback points at the parser"
 CHATTER = "thanks so much, great work everyone!"
@@ -79,6 +81,26 @@ def test_purify_content_is_idempotent():
 
     for comment in once.kept_comments:
         assert _collapse_repeated_runs(comment.body) == comment.body
+
+
+def test_each_comment_is_classified_once(monkeypatch):
+    seen = []
+    judge = RuleBasedCommentClassifier.__call__
+
+    def counting(self, comment):
+        seen.append(comment.body)
+        return judge(self, comment)
+
+    monkeypatch.setattr(RuleBasedCommentClassifier, "__call__", counting)
+    triplet = make_triplet(
+        issue_comments=[make_comment(f"{TECHNICAL} {i}") for i in range(3)] + [make_comment(CHATTER)],
+        discussion=[make_comment(f"{TECHNICAL} 3"), make_comment(CHATTER + " too")],
+    )
+    instance = purify(triplet)
+    condensed = purify_content(instance)
+    assert seen == [c.body for c in combined_thread(triplet)]
+    assert condensed.kept_comments == instance.technical_comments
+    assert condensed.dropped_count == 2
 
 
 def test_diff_summary_lines_present(instance):

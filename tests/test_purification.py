@@ -17,7 +17,6 @@ from memgov.purification import (
     detect_anchors,
     purify,
     scan_text_anchors,
-    technical_content_ratio,
 )
 
 from conftest import TRACEBACK_BODY, make_comment, make_triplet
@@ -88,27 +87,42 @@ def test_classifier_rules():
     assert not CLASSIFIER(make_comment("", role=AuthorRole.BOT))
 
 
+def ratio_of(issue_comments, discussion=()):
+    result = purify(make_triplet(issue_comments=list(issue_comments), discussion=list(discussion)))
+    assert isinstance(result, PurifiedInstance), result
+    return result.technical_ratio
+
+
 def test_ratio_all_technical():
-    comments = [make_comment(TECHNICAL) for _ in range(5)]
-    assert technical_content_ratio(comments, CLASSIFIER) == 1.0
+    assert ratio_of([make_comment(TECHNICAL) for _ in range(5)]) == 1.0
 
 
 def test_ratio_empty_thread_is_vacuous():
-    assert technical_content_ratio([], CLASSIFIER) == 1.0
+    assert ratio_of([]) == 1.0
 
 
 def test_ratio_one_of_five():
+    # Exactly tau: rejection is strictly below, so the instance survives.
     comments = [make_comment(TECHNICAL)] + [make_comment(CHATTER) for _ in range(4)]
-    assert technical_content_ratio(comments, CLASSIFIER) == pytest.approx(0.2)
+    assert ratio_of(comments) == pytest.approx(0.2)
 
 
 def test_ratio_covers_issue_and_pr_threads():
-    triplet = make_triplet(
-        issue_comments=[make_comment(TECHNICAL)],
-        discussion=[make_comment(CHATTER), make_comment(CHATTER), make_comment(CHATTER)],
+    ratio = ratio_of(
+        [make_comment(TECHNICAL)],
+        [make_comment(CHATTER), make_comment(CHATTER), make_comment(CHATTER)],
     )
-    ratio = technical_content_ratio(combined_thread(triplet), CLASSIFIER)
     assert ratio == pytest.approx(0.25)
+
+
+def test_instance_keeps_technical_comments_in_thread_order():
+    triplet = make_triplet(
+        issue_comments=[make_comment(CHATTER), make_comment(TECHNICAL + " one")],
+        discussion=[make_comment(TECHNICAL + " two"), make_comment(CHATTER)],
+    )
+    instance = purify(triplet)
+    thread = combined_thread(triplet)
+    assert instance.technical_comments == (thread[1], thread[2])
 
 
 def test_purify_accepts_clean_triplet(instance):

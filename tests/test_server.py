@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 import socket
+import string
 import threading
+from urllib.parse import quote
 
 import pytest
 import requests
@@ -173,8 +175,8 @@ def test_non_string_session_id_is_client_error(live, session_id):
         assert resp.json()["error"]["code"] == "invalid_request"
 
 
-def raw_post(base, head, body=b""):
-    """Send one hand-written POST over a socket; return (status, JSON body)
+def raw_request(base, head, body=b""):
+    """Send one hand-written request over a socket; return (status, JSON body)
     once the server closes the connection."""
     port = int(base.rsplit(":", 1)[1])
     with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
@@ -189,7 +191,7 @@ def raw_post(base, head, body=b""):
 @pytest.mark.parametrize("length", ["abc", "-1"])
 def test_bad_content_length_is_client_error(live, length):
     base, _service, _cards = live
-    status, body = raw_post(base, f"POST /v1/search HTTP/1.0\r\nContent-Length: {length}", b"{}")
+    status, body = raw_request(base, f"POST /v1/search HTTP/1.0\r\nContent-Length: {length}", b"{}")
     assert status == 400
     assert body["error"]["code"] == "invalid_request"
 
@@ -199,11 +201,11 @@ def test_oversized_body_is_refused_unread(live):
     # No body follows the header: the server answers and closes without
     # waiting for the megabyte it was promised.
     head = f"POST /v1/search HTTP/1.0\r\nContent-Length: {MAX_BODY_BYTES + 1}"
-    status, body = raw_post(base, head)
+    status, body = raw_request(base, head)
     assert status == 413
     assert body["error"]["code"] == "payload_too_large"
     payload = json.dumps({"query": "worker pool deadlock"}).ljust(MAX_BODY_BYTES).encode()
-    status, body = raw_post(base, f"POST /v1/search HTTP/1.0\r\nContent-Length: {len(payload)}", payload)
+    status, body = raw_request(base, f"POST /v1/search HTTP/1.0\r\nContent-Length: {len(payload)}", payload)
     assert status == 200
     assert len(body["hits"]) == 5
 
@@ -214,7 +216,7 @@ def test_oversized_body_sent_in_full_still_gets_the_413(live):
     # answers first, then drops the body until the client closes, so the
     # answer arrives rather than a connection reset.
     body = b"x" * (4 << 20)
-    status, payload = raw_post(base, f"POST /v1/search HTTP/1.0\r\nContent-Length: {len(body)}", body)
+    status, payload = raw_request(base, f"POST /v1/search HTTP/1.0\r\nContent-Length: {len(body)}", body)
     assert status == 413
     assert payload["error"]["code"] == "payload_too_large"
 
@@ -238,16 +240,43 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
     max_leaves=10,
 )
-SEARCH_BODIES = st.one_of(
-    JSON_VALUES,
-    st.fixed_dictionaries(
-        {"query": JSON_TEXT | JSON_VALUES},
-        optional={
-            "top_k": st.integers(-2, MAX_TOP_K + 2) | JSON_VALUES,
-            "session_id": st.just("<live session>") | JSON_TEXT | JSON_VALUES,
-        },
-    ),
+LIVE_SESSION = "<live session>"  # replaced by the served fixture's session id
+SESSION_IDS = st.just(LIVE_SESSION) | JSON_TEXT | JSON_VALUES
+CARD_IDS = st.sampled_from([card.card_id for card in build_service()[1]]) | JSON_TEXT | JSON_VALUES
+
+
+def bodies(fields: dict, optional: dict | None = None):
+    """Any JSON value, or an object whose fields hold well- and ill-formed values."""
+    return st.one_of(JSON_VALUES, st.fixed_dictionaries(fields, optional=optional or {}))
+
+
+SEARCH_BODIES = bodies(
+    {"query": JSON_TEXT | JSON_VALUES},
+    {"top_k": st.integers(-2, MAX_TOP_K + 2) | JSON_VALUES, "session_id": SESSION_IDS},
 )
+POST_BODIES = {
+    "/v1/browse": bodies({"card_id": CARD_IDS}, {"session_id": SESSION_IDS}),
+    "/v1/session": bodies({}, {"session_id": SESSION_IDS}),
+    "/v1/transfer_brief": bodies(
+        {"session_id": SESSION_IDS}, {"card_ids": st.lists(CARD_IDS, max_size=3) | JSON_VALUES}
+    ),
+}
+OK_KEYS = {
+    "/v1/search": {"hits"},
+    "/v1/browse": {"card_id", "source", "index", "resolution"},
+    "/v1/session": {"session_id"},
+    "/v1/transfer_brief": {
+        "root_cause_pattern", "modification_logic", "validation_strategy", "source_card_ids",
+    },
+}
+
+
+def assert_no_500(served, path: str, body: bytes) -> None:
+    base, session_id = served
+    body = body.replace(json.dumps(LIVE_SESSION).encode(), json.dumps(session_id).encode())
+    resp = requests.post(f"{base}{path}", data=body)
+    assert resp.status_code < 500, resp.text
+    assert set(resp.json()) == (OK_KEYS[path] if resp.status_code == 200 else {"error"})
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -255,11 +284,29 @@ SEARCH_BODIES = st.one_of(
 @example(body=b"[" * 100_000)
 @example(body=b'{"query": "\\ud800 deadlock \\udfff", "top_k": 3}')
 def test_search_answers_no_500_for_any_json_body(served, body):
+    assert_no_500(served, "/v1/search", body)
+
+
+# Browse runs first, so that some briefs find cards browsed in the live session.
+@pytest.mark.parametrize("path", list(POST_BODIES))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_post_endpoints_answer_no_500_for_any_json_body(served, path, data):
+    body = data.draw(POST_BODIES[path].map(lambda v: json.dumps(v).encode()), label="body")
+    assert_no_500(served, path, body)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tail=st.just(LIVE_SESSION) | st.text("0123456789abcdef", max_size=40) | JSON_TEXT)
+def test_get_session_answers_no_500_for_any_path_tail(served, tail):
     base, session_id = served
-    body = body.replace(b'"<live session>"', json.dumps(session_id).encode())
-    resp = requests.post(f"{base}/v1/search", data=body)
-    assert resp.status_code < 500, resp.text
-    assert set(resp.json()) == ({"hits"} if resp.status_code == 200 else {"error"})
+    live = tail == LIVE_SESSION
+    # Printable ASCII goes on the request line as it is; everything else is
+    # percent-encoded, lone surrogates included.
+    tail = quote(session_id if live else tail, safe=string.punctuation, errors="surrogatepass")
+    status, payload = raw_request(base, f"GET /v1/session/{tail} HTTP/1.0")
+    assert status == (200 if live else 404), payload
+    assert set(payload) == ({"session_id", "rounds"} if live else {"error"})
 
 
 @pytest.mark.parametrize("chars, status", [(MAX_QUERY_CHARS, 200), (MAX_QUERY_CHARS + 1, 400)])
@@ -267,7 +314,7 @@ def test_search_caps_query_length(live, chars, status):
     base, _service, _cards = live
     query = ("deadlock " * chars)[:chars]
     payload = json.dumps({"query": query}).encode()
-    status_got, body = raw_post(base, f"POST /v1/search HTTP/1.0\r\nContent-Length: {len(payload)}", payload)
+    status_got, body = raw_request(base, f"POST /v1/search HTTP/1.0\r\nContent-Length: {len(payload)}", payload)
     assert status_got == status
     if status == 400:
         assert body["error"]["code"] == "invalid_request"
@@ -314,21 +361,6 @@ def test_transfer_brief_unknown_session(live):
         f"{base}/v1/transfer_brief", json={"session_id": "f" * 32, "card_ids": []}
     )
     assert resp.status_code == 404
-
-
-def test_store_not_loaded_is_503():
-    service = ToolService(None)
-    server = make_http_server(service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    base = f"http://127.0.0.1:{server.server_address[1]}"
-    try:
-        resp = requests.post(f"{base}/v1/search", json={"query": "x"})
-        assert resp.status_code == 503
-        assert resp.json()["error"]["code"] == "store_not_loaded"
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def test_brief_concatenates_in_browse_order():

@@ -293,7 +293,7 @@ def test_search_equals_all_rows_reference(case, tmp_path_factory):
     store._norms[len(store) :] = np.nan
     expected = reference_search(store, "the query", k)
     assert hits_of(store, "the query", k) == expected
-    if reload:  # a loaded store scans a read-only view of vectors.bin
+    if reload:  # a loaded store scans its own column-major copy of vectors.bin
         path = tmp_path_factory.mktemp("scan")
         store.save(path)
         loaded = MemoryStore.load(path, store.embedder)
@@ -622,7 +622,7 @@ def test_index_into_loaded_store(tmp_path):
     cards = distinct_cards(30)
     make_store(cards[:20]).save(tmp_path / "first")
     loaded = MemoryStore.load(tmp_path / "first")
-    assert not loaded.vectors.flags.writeable  # a view of vectors.bin
+    assert not loaded.vectors.flags.writeable  # a read-only row-major copy of the matrix
     for card in cards[20:]:
         loaded.index_card(card)
     fresh = make_store(cards)
