@@ -14,6 +14,7 @@ import os
 import signal
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .audit import AuditLog
 from .cards import card_to_dict
@@ -34,15 +35,13 @@ from .providers import ENV_LLM_ENDPOINT, HttpChatProvider
 from .purification import scan_text_anchors
 from .quality import RuleBasedEvaluator
 from .selection import select_top_m
-from .server import (
-    BrowseRequest,
-    SearchRequest,
-    ToolService,
-    TransferBrief,
-    make_http_server,
-    search_hit_to_dict,
-)
 from .store import DEFAULT_TOP_K, MemoryStore
+
+# .server (and with it http.server and uuid) is imported only by the
+# commands that serve or shape server bodies, so govern, purify, select and
+# stats start without it.
+if TYPE_CHECKING:
+    from .server import ToolService, TransferBrief
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -239,6 +238,8 @@ def cmd_purify(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from .server import SearchRequest, ToolService, search_hit_to_dict
+
     store = _load_store(args.index_dir)
     service = ToolService(store)
     hits = service.handle_search(SearchRequest(query=args.query, top_k=args.top_k))
@@ -254,6 +255,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_browse(args) -> int:
+    from .server import BrowseRequest, ToolService
+
     store = _load_store(args.index_dir)
     service = ToolService(store)
     card = service.handle_browse(BrowseRequest(card_id=args.card_id))
@@ -274,6 +277,8 @@ def cmd_browse(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    from .server import ToolService, make_http_server
+
     store = _load_store(args.index_dir)
     service = ToolService(store)
     try:
@@ -335,6 +340,8 @@ def run_demo_agent(
 
     Returns (round trace, brief or None when nothing relevant surfaced).
     """
+    from .server import BrowseRequest, SearchRequest
+
     tokens, pool = _demo_query_parts(issue_text)
     session_id = service.sessions.create()
     trace: list[dict] = []
@@ -371,6 +378,8 @@ def cmd_demo_agent(args) -> int:
     issue_path = Path(args.issue_file)
     if not issue_path.is_file():
         raise DataError(f"issue file not found: {issue_path}")
+    from .server import ToolService
+
     store = _load_store(args.index_dir)
     service = ToolService(store)
     trace, brief = run_demo_agent(

@@ -74,17 +74,16 @@ class HashingEmbedder:
         return f"feature-hash-{self._dimension}"
 
     def _code(self, token: bytes) -> int:
-        """The token's bucket, plus the dimension when its sign is negative."""
-        code = self._cache.get(token)
-        if code is None:
-            value = int.from_bytes(hashlib.blake2b(token, digest_size=8).digest(), "little")
-            code = value % self._dimension + self._dimension * (value >> 63)
-            # Emptying rather than evicting keeps a hit one plain dict lookup;
-            # the lock keeps concurrent misses from overfilling the cache.
-            with self._cache_lock:
-                if len(self._cache) >= TOKEN_CACHE_SIZE:
-                    self._cache.clear()
-                self._cache[token] = code
+        """Hash a token the cache missed and cache its code: the token's
+        bucket, plus the dimension when its sign is negative."""
+        value = int.from_bytes(hashlib.blake2b(token, digest_size=8).digest(), "little")
+        code = value % self._dimension + self._dimension * (value >> 63)
+        # Emptying rather than evicting keeps a hit one plain dict lookup;
+        # the lock keeps concurrent misses from overfilling the cache.
+        with self._cache_lock:
+            if len(self._cache) >= TOKEN_CACHE_SIZE:
+                self._cache.clear()
+            self._cache[token] = code
         return code
 
     def embed(self, text: str) -> np.ndarray:
@@ -96,7 +95,11 @@ class HashingEmbedder:
         try:
             codes = [cache[token] for token in tokens]
         except KeyError:  # a new token, or another thread emptied the cache
-            codes = [self._code(token) for token in tokens]
+            get = cache.get
+            codes = [
+                code if (code := get(token)) is not None else self._code(token)
+                for token in tokens
+            ]
         counts = np.bincount(codes, minlength=2 * self._dimension)
         # Sums of +-1 are small integers, exact in any order.
         acc = (counts[: self._dimension] - counts[self._dimension :]).astype(np.float64)

@@ -32,8 +32,6 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterator, Union
 
-import requests
-
 from .errors import DataError, SourceError
 from .providers import retry_call
 
@@ -272,11 +270,17 @@ class HttpForgeClient:
         self.max_retries = max_retries
         self.backoff = backoff
         self.timeout = timeout
+        # Imported here, not at module level: requests takes about 0.1 s to
+        # import, and only this client needs it.
+        import requests
+
         self.session = requests.Session()
 
     def _get(self, path: str, params: dict | None = None) -> object:
         """One GET of a JSON document. Connection errors, 429 and 5xx raise
         a retryable SourceError; callers retry through providers.retry_call."""
+        import requests  # loaded by __init__; binds the name for the except clause
+
         headers = {"Authorization": f"Bearer {self.token}"} if self.token else {}
         url = f"{self.base_url}{path}"
         try:

@@ -18,8 +18,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Protocol, TypeVar
 
-import requests
-
 from .errors import ConfigError, MalformedOutputError, ProviderError, SourceError
 
 ENV_LLM_ENDPOINT = "MEMGOV_LLM_ENDPOINT"
@@ -121,9 +119,15 @@ class HttpChatProvider:
         self.timeout = timeout
         self.request_log = Path(request_log) if request_log else None
         self._log_lock = threading.Lock()
+        # Imported here, not at module level: requests takes about 0.1 s to
+        # import, and no command that runs without an LLM endpoint needs it.
+        import requests
+
         self.session = requests.Session()
 
     def complete(self, prompt: str) -> str:
+        import requests  # loaded by __init__; binds the name for the except clause
+
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],

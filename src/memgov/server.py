@@ -13,14 +13,18 @@ Endpoints (JSON bodies):
 * GET  /v1/health         -> {"status", "card_count", "dimension", "embedder_id"}
 
 Errors use the uniform envelope {"error": {"code", "message"}}: 4xx for
-client faults, and 500 only for an unexpected fault inside an endpoint. A
-body whose Content-Length exceeds 1 MiB answers 413 payload_too_large
-without being parsed. The server then closes its side and reads and drops
-what the client still sends, at most 64 MiB for at most 2 s, so that a
-client that wrote the whole body before reading still gets the answer
-rather than a reset. A body nested too deeply
-to parse answers 400 invalid_json. Search responses never contain
-resolution-layer content; browsing is the only way to read it.
+client faults, and 500 only for an unexpected fault inside an endpoint.
+This covers the requests refused before routing: a method other than GET
+or POST answers 405 method_not_allowed with "Allow: GET, POST" (headers
+only for HEAD), a malformed request line 400 bad_request, and a request
+line over 64 KiB 414 request_uri_too_long. A body whose Content-Length
+exceeds 1 MiB answers 413 payload_too_large without being parsed. The
+server then closes its side and reads and drops what the client still
+sends, at most 64 MiB for at most 2 s, so that a client that wrote the
+whole body before reading still gets the answer rather than a reset. A
+body nested too deeply to parse answers 400 invalid_json. Search
+responses never contain resolution-layer content; browsing is the only
+way to read it.
 
 Sessions are server-side conveniences for audit and brief assembly;
 search and browse remain fully usable without one. At most 10,000 sessions
@@ -39,6 +43,7 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .cards import ExperienceCard, card_to_dict
@@ -265,18 +270,33 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):  # quiet by default
         pass
 
-    def _send(self, status: int, payload: dict) -> None:
+    def _send(self, status: int, payload: dict, headers: tuple = ()) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        for name, value in headers:
+            self.send_header(name, value)
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":  # an answer to HEAD carries no content (RFC 9110, 9.3.2)
+            self.wfile.write(body)
 
-    def _fail(self, err: _ApiError) -> None:
-        self._send(err.status, {"error": {"code": err.code, "message": err.message}})
+    def _fail(self, err: _ApiError, headers: tuple = ()) -> None:
+        self._send(err.status, {"error": {"code": err.code, "message": err.message}}, headers)
         if err.status == 413:
             self._linger()
+
+    def send_error(self, code: int, message: str | None = None, explain: str | None = None) -> None:
+        """Answer the faults BaseHTTPRequestHandler finds before any do_*
+        method runs (a malformed request line, a request line over 64 KiB, a
+        bad header, a method with no do_* method) in the error envelope, not
+        the base class's HTML page."""
+        if code == HTTPStatus.NOT_IMPLEMENTED:  # an unknown method is the client's fault
+            err = _ApiError(405, "method_not_allowed", f"method {self.command!r} is not allowed")
+            self._fail(err, (("Allow", "GET, POST"),))
+            return
+        status = HTTPStatus(code)
+        self._fail(_ApiError(status, status.name.lower(), message or status.phrase))
 
     def _linger(self) -> None:
         """Lingering close (RFC 9112, section 9.6): half-close, then drop

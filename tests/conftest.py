@@ -3,6 +3,7 @@ from __future__ import annotations
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import strategies as st
 
 from memgov.cards import CardSource, ExperienceCard, IndexLayer, ResolutionLayer, make_card_id
 from memgov.ingestion import AuthorRole, Comment, Issue, PullRequest, RawTriplet
@@ -94,6 +95,35 @@ def make_card(
             fix_strategy=fix_strategy,
             patch_digest=patch_digest,
             verification=verification,
+        ),
+    )
+
+
+# Any code point, lone surrogates included, with quotes, backslashes and
+# newlines drawn often: the characters JSON must escape.
+ANY_TEXT = st.text(
+    st.one_of(st.characters(exclude_categories=()), st.sampled_from('"\\\n')), max_size=12
+)
+
+
+def any_cards():
+    """Cards whose every string is arbitrary text. A fixed ASCII signal ends
+    each signal tuple, so that every card's index text embeds."""
+    return st.builds(
+        ExperienceCard,
+        card_id=ANY_TEXT,
+        source=st.builds(CardSource, repo=ANY_TEXT, issue=st.integers(), pr=st.integers()),
+        index=st.builds(
+            IndexLayer,
+            problem_summary=ANY_TEXT,
+            signals=st.lists(ANY_TEXT, max_size=3).map(lambda s: (*s, "roundtrip")),
+        ),
+        resolution=st.builds(
+            ResolutionLayer,
+            root_cause=ANY_TEXT,
+            fix_strategy=ANY_TEXT,
+            patch_digest=ANY_TEXT,
+            verification=ANY_TEXT,
         ),
     )
 

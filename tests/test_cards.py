@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from memgov.cards import (
     card_from_dict,
@@ -15,7 +16,7 @@ from memgov.cards import (
 )
 from memgov.errors import DataError, EmptySignalError
 
-from conftest import make_card
+from conftest import any_cards, make_card
 
 
 def violated_fields(card) -> set[str]:
@@ -143,3 +144,9 @@ def test_make_card_id_is_deterministic_and_distinct():
     assert a == make_card_id("acme/widgets", 12, 34)
     assert a != make_card_id("acme/widgets", 12, 35)
     assert "/" not in a
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(card=any_cards())
+def test_any_card_round_trips_through_json(card):
+    assert card_from_dict(json.loads(json.dumps(card_to_dict(card)))) == card

@@ -1,0 +1,43 @@
+"""Each memgov process imports only what its command runs. Every check runs
+in a fresh interpreter, since this test process has long imported it all."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def loaded_after(code: str, modules: list[str]) -> list[str]:
+    """Run `code` in a fresh interpreter over src/; return which of
+    `modules` it left in sys.modules."""
+    probe = f"{code}\nimport sys\nprint(' '.join(m for m in {modules!r} if m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+@pytest.mark.parametrize(
+    "code, absent",
+    [
+        ("import memgov.cli", ["requests", "http.server", "memgov.server"]),
+        ("import memgov.store", ["requests", "memgov.pipeline"]),
+        ("import memgov.providers, memgov.ingestion", ["requests"]),
+    ],
+    ids=["cli", "store", "http-clients"],
+)
+def test_import_leaves_unused_modules_unloaded(code, absent):
+    assert loaded_after(code, absent) == []
+
+
+def test_http_forge_client_loads_requests_when_constructed():
+    code = "from memgov.ingestion import HttpForgeClient\nHttpForgeClient(base_url='http://127.0.0.1:9')"
+    assert loaded_after(code, ["requests"]) == ["requests"]

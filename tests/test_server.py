@@ -176,8 +176,8 @@ def test_non_string_session_id_is_client_error(live, session_id):
 
 
 def raw_request(base, head, body=b""):
-    """Send one hand-written request over a socket; return (status, JSON body)
-    once the server closes the connection."""
+    """Send one hand-written request over a socket; return (status, JSON body,
+    or None when there is no body) once the server closes the connection."""
     port = int(base.rsplit(":", 1)[1])
     with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
         sock.sendall(head.encode() + b"\r\n\r\n" + body)
@@ -185,7 +185,7 @@ def raw_request(base, head, body=b""):
         while chunk := sock.recv(4096):
             response += chunk
     status_line, _, payload = response.partition(b"\r\n\r\n")
-    return int(status_line.split()[1]), json.loads(payload)
+    return int(status_line.split()[1]), json.loads(payload) if payload else None
 
 
 @pytest.mark.parametrize("length", ["abc", "-1"])
@@ -219,6 +219,37 @@ def test_oversized_body_sent_in_full_still_gets_the_413(live):
     status, payload = raw_request(base, f"POST /v1/search HTTP/1.0\r\nContent-Length: {len(body)}", body)
     assert status == 413
     assert payload["error"]["code"] == "payload_too_large"
+
+
+@pytest.mark.parametrize(
+    "head, status, code",
+    [
+        ("PUT /v1/search HTTP/1.0\r\nContent-Length: 2", 405, "method_not_allowed"),
+        ("GET /v1/session/a b HTTP/1.0", 400, "bad_request"),
+        (f"GET /{'x' * 70_000} HTTP/1.0", 414, "request_uri_too_long"),
+    ],
+    ids=["unknown-method", "bad-request-line", "uri-too-long"],
+)
+def test_malformed_requests_get_the_error_envelope(live, head, status, code):
+    base, _service, _cards = live
+    got, body = raw_request(base, head, b"{}")
+    assert got == status
+    assert body["error"]["code"] == code
+    assert isinstance(body["error"]["message"], str)
+
+
+def test_unknown_method_answers_405_with_allow(live):
+    base, _service, _cards = live
+    resp = requests.put(f"{base}/v1/search", json={"query": "deadlock"})
+    assert resp.status_code == 405
+    assert resp.headers["Allow"] == "GET, POST"
+    assert resp.headers["Content-Type"] == "application/json"
+    assert resp.json()["error"]["code"] == "method_not_allowed"
+
+
+def test_head_answers_405_without_content(live):
+    base, _service, _cards = live
+    assert raw_request(base, "HEAD /v1/health HTTP/1.0") == (405, None)
 
 
 @pytest.fixture(scope="module")

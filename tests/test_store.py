@@ -5,11 +5,14 @@ import json
 import math
 import random
 import struct
+import tempfile
 import threading
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memgov.embedding import HashingEmbedder
@@ -29,7 +32,7 @@ from memgov.store import (
     dedup,
 )
 
-from conftest import make_card
+from conftest import any_cards, make_card
 
 
 def make_store(cards=()):
@@ -752,6 +755,23 @@ def test_loaded_store_saves_identical_cards_file(tmp_path):
     MemoryStore.load(tmp_path / "a").save(tmp_path / "b")
     for name in ("cards.jsonl", "vectors.bin", "manifest.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# An id with a quote, a backslash and a lone surrogate is escaped in
+# cards.jsonl, so load cannot read it off the line and decodes the card.
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cards=st.lists(any_cards(), min_size=1, max_size=4, unique_by=lambda c: c.card_id))
+@example(cards=[replace(make_card(), card_id='say "hi"\\ \ud800'), make_card(issue=13)])
+def test_any_cards_survive_save_load_and_a_second_save(cards):
+    store = make_store(cards)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "a"), Path(tmp, "b")
+        store.save(first)
+        loaded = MemoryStore.load(first)
+        assert loaded.card_ids() == [c.card_id for c in cards]
+        assert [loaded.browse(c.card_id) for c in cards] == cards
+        loaded.save(second)
+        assert (second / "cards.jsonl").read_bytes() == (first / "cards.jsonl").read_bytes()
 
 
 def rewrite_cards(directory, edit):
