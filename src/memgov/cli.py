@@ -21,14 +21,7 @@ from .cards import card_to_dict
 from .config import PipelineConfig, load_config
 from .distillation import RuleBasedDistiller
 from .embedding import _TOKEN
-from .errors import (
-    ConfigError,
-    DataError,
-    MemgovError,
-    ProviderError,
-    SourceError,
-    StoreError,
-)
+from .errors import ConfigError, DataError, MemgovError, ProviderError, StoreError
 from .ingestion import RepoStats, load_fixture_triplets
 from .pipeline import run_govern, run_purify_only
 from .providers import ENV_LLM_ENDPOINT, HttpChatProvider
@@ -192,8 +185,12 @@ def _read_stats_file(path: Path) -> list[RepoStats]:
     if not path.is_file():
         raise DataError(f"stats file not found: {path}")
     out = []
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, 1):
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"malformed stats entry: {exc}", line=lineno) from exc
             if not line.strip():
                 continue
             try:
@@ -435,7 +432,7 @@ def main(argv=None) -> int:
     except (ConfigError, DataError, StoreError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (SourceError, ProviderError, OSError) as exc:
+    except (ProviderError, OSError) as exc:
         print(f"infrastructure error: {exc}", file=sys.stderr)
         return EXIT_INFRA
     except MemgovError as exc:

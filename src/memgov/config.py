@@ -14,12 +14,14 @@ Example:
     }
 
 Every key is optional; defaults match the module-level constants. Unknown
-keys are configuration errors so typos fail loudly.
+keys, a section that is not an object and a value of the wrong JSON type
+are configuration errors, so typos fail loudly and before any work.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,6 +38,9 @@ from .store import DEFAULT_DEDUP_THRESHOLD
 class EmbedderConfig:
     id: str = f"feature-hash-{DEFAULT_DIMENSION}"
     dimension: int = DEFAULT_DIMENSION
+
+    def __post_init__(self) -> None:
+        self.build()  # an unknown id or a wrong dimension fails at load, not after the run
 
     def build(self) -> Embedder:
         embedder = default_embedder_for(self.id)
@@ -63,6 +68,10 @@ class ProviderConfig:
     max_inflight: int = DEFAULT_MAX_INFLIGHT
     request_log: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.max_inflight < 1:
+            raise ConfigError(f"max_inflight must be >= 1, got {self.max_inflight}")
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -84,16 +93,50 @@ class PipelineConfig:
             raise ConfigError(f"workers must be an integer >= 1, got {w!r}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+# What a JSON value must be for each field annotation in the config classes.
+_EXPECTED = {
+    "int": ("an integer", _is_int),
+    "float": ("a finite number", lambda v: (_is_int(v) or isinstance(v, float)) and _is_finite(v)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "tuple[str, ...]": (
+        "a list of strings",
+        lambda v: isinstance(v, list) and all(isinstance(item, str) for item in v),
+    ),
+}
+
+
+def _section(data: dict, section: str) -> dict:
+    value = data.get(section, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"config section {section!r} must be an object")
+    return value
+
+
 def _build(cls, data: dict, section: str):
-    known = set(cls.__dataclass_fields__)
+    fields = cls.__dataclass_fields__
     kwargs = {}
-    for key, value in data.items():
-        if key not in known:
+    for key, value in _section(data, section).items():
+        if key not in fields:
             raise ConfigError(f"unknown key {key!r} in config section {section!r}")
-        kwargs[key] = value
+        expected, accepts = _EXPECTED[fields[key].type]
+        if not accepts(value):
+            raise ConfigError(f"{section}.{key} must be {expected}, got {value!r}")
+        kwargs[key] = tuple(value) if isinstance(value, list) else value
     try:
         return cls(**kwargs)
-    except TypeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad config section {section!r}: {exc}") from exc
 
 
@@ -103,28 +146,19 @@ def config_from_dict(data: dict) -> PipelineConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
-    purification = data.get("purification", {})
-    if "anchor_patterns" in purification:
-        purification = {**purification, "anchor_patterns": tuple(purification["anchor_patterns"])}
-    if "technical_lexicon" in purification:
-        purification = {**purification, "technical_lexicon": tuple(purification["technical_lexicon"])}
-    qc = data.get("qc", {})
-    if "dimensions" in qc:
-        qc = {**qc, "dimensions": tuple(qc["dimensions"])}
-
-    dedup = data.get("dedup", {})
+    dedup = _section(data, "dedup")
     extra = set(dedup) - {"threshold"}
     if extra:
         raise ConfigError(f"unknown key {extra.pop()!r} in config section 'dedup'")
 
     return PipelineConfig(
-        selection=_build(SelectionConfig, data.get("selection", {}), "selection"),
-        purification=_build(PurificationConfig, purification, "purification"),
-        qc=_build(QcConfig, qc, "qc"),
-        embedder=_build(EmbedderConfig, data.get("embedder", {}), "embedder"),
+        selection=_build(SelectionConfig, data, "selection"),
+        purification=_build(PurificationConfig, data, "purification"),
+        qc=_build(QcConfig, data, "qc"),
+        embedder=_build(EmbedderConfig, data, "embedder"),
         dedup_threshold=dedup.get("threshold", DEFAULT_DEDUP_THRESHOLD),
-        paths=_build(PathsConfig, data.get("paths", {}), "paths"),
-        provider=_build(ProviderConfig, data.get("provider", {}), "provider"),
+        paths=_build(PathsConfig, data, "paths"),
+        provider=_build(ProviderConfig, data, "provider"),
         workers=data.get("workers", 1),
     )
 
@@ -138,7 +172,7 @@ def load_config(path: str | Path | None) -> PipelineConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a JSON object")

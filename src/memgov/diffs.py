@@ -284,11 +284,12 @@ def render_diff(diff: Diff) -> str:
     """
     out: list[str] = []
     for f in diff.files:
-        if f.metadata or not f.hunks:
-            old = f.old_path if f.old_path != "/dev/null" else f.new_path
-            new = f.new_path if f.new_path != "/dev/null" else f.old_path
-            out.append(f"diff --git a/{old} b/{new}")
-            out.extend(f.metadata)
+        # Every file gets its own "diff --git" line, so that a file's labels
+        # and hunks never read back as part of a header-only entry before it.
+        old = f.old_path if f.old_path != "/dev/null" else f.new_path
+        new = f.new_path if f.new_path != "/dev/null" else f.old_path
+        out.append(f"diff --git a/{old} b/{new}")
+        out.extend(f.metadata)
         if f.hunks:
             old_label = f.old_path if f.old_path == "/dev/null" else f"a/{f.old_path}"
             new_label = f.new_path if f.new_path == "/dev/null" else f"b/{f.new_path}"

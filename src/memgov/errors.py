@@ -25,14 +25,6 @@ class DataError(MemgovError):
         super().__init__(" ".join(parts))
 
 
-class SourceError(MemgovError):
-    """Forge/source failure. ``retryable`` marks transient network faults."""
-
-    def __init__(self, message: str, *, retryable: bool = True):
-        self.retryable = retryable
-        super().__init__(message)
-
-
 class DiffParseError(DataError):
     """Unified-diff input that cannot be parsed. ``line`` is 1-based."""
 

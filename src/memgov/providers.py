@@ -18,7 +18,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Protocol, TypeVar
 
-from .errors import ConfigError, MalformedOutputError, ProviderError, SourceError
+from .errors import ConfigError, MalformedOutputError, ProviderError
 
 ENV_LLM_ENDPOINT = "MEMGOV_LLM_ENDPOINT"
 ENV_LLM_API_KEY = "MEMGOV_LLM_API_KEY"
@@ -43,16 +43,18 @@ def retry_call(
     backoff: float = 0.5,
     sleep: Callable[[float], None] = time.sleep,
 ) -> T:
-    """Call fn, retrying retryable ProviderErrors and SourceErrors with
-    exponential backoff.
+    """Call fn, retrying retryable ProviderErrors with exponential backoff:
+    sleeps of backoff, 2 * backoff, 4 * backoff, ... between attempts, and at
+    most ``retries`` retries before the last error propagates.
 
-    Non-retryable errors (including malformed output) propagate at once.
+    Non-retryable ProviderErrors (including malformed output) and every
+    other exception propagate at once.
     """
     attempt = 0
     while True:
         try:
             return fn()
-        except (ProviderError, SourceError) as exc:
+        except ProviderError as exc:
             if not exc.retryable or attempt >= retries:
                 raise
             sleep(backoff * (2 ** attempt))

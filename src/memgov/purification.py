@@ -69,7 +69,7 @@ class PurificationConfig:
         for pattern in self.anchor_patterns:
             try:
                 re.compile(pattern)
-            except re.error as exc:
+            except (re.error, OverflowError, RecursionError) as exc:
                 raise ConfigError(f"invalid anchor pattern {pattern!r}: {exc}") from exc
 
 

@@ -129,17 +129,64 @@ def test_run_govern_rejects_workers_below_one(tmp_path, small_fixture, workers):
 
 @pytest.mark.parametrize(
     "config",
-    [{"workers": "two"}, {"workers": 0}, {"dedup": {"threshold": 7}}],
-    ids=["workers-string", "workers-zero", "dedup-threshold-7"],
+    [
+        {"workers": "two"},
+        {"workers": 0},
+        {"dedup": {"threshold": 7}},
+        {"purification": 5},
+        {"selection": 7},
+        {"paths": []},
+        {"dedup": 5},
+        {"purification": {"anchor_patterns": 5}},
+        {"embedder": {"id": 5}},
+        {"embedder": {"id": "nope"}},
+        {"qc": {"max_iterations": 2.5}},
+        {"qc": {"dimensions": "abc"}},
+        {"provider": {"max_inflight": 0}},
+        {"provider": {"max_inflight": -1}},
+        b'{"workers": "\xff"}',
+    ],
+    ids=[
+        "workers-string",
+        "workers-zero",
+        "dedup-threshold-7",
+        "purification-int",
+        "selection-int",
+        "paths-list",
+        "dedup-int",
+        "anchor-patterns-int",
+        "embedder-id-int",
+        "embedder-id-unknown",
+        "max-iterations-float",
+        "dimensions-string",
+        "max-inflight-zero",
+        "max-inflight-negative",
+        "undecodable-byte",
+    ],
 )
 def test_bad_config_value_is_data_error(tmp_path, small_fixture, capsys, config):
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config))
+    config_path.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
     out = tmp_path / "store"
     code, _, err = run_cli(capsys, "--config", str(config_path), "govern", str(small_fixture), str(out))
     assert code == 2
     assert err.startswith("error: ")
     assert not out.exists()
+
+
+def test_undecodable_triplet_line_is_one_item_error(tmp_path, small_fixture, capsys):
+    lines = small_fixture.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1].replace(b'"title": "', b'"title": "\xff')
+    small_fixture.write_bytes(b"".join(lines))
+    out = tmp_path / "store"
+    code, stdout, _ = run_cli(capsys, "--json", "govern", str(small_fixture), str(out))
+    assert code == 0
+    assert json.loads(stdout)["read"] == 3
+    audit = [json.loads(l) for l in (out / "audit.jsonl").read_text().splitlines()]
+    errors = [r["reason"] for r in audit if r.get("reason", "").startswith("item-error")]
+    assert len(errors) == 1 and errors[0].startswith("item-error: line 2: invalid UTF-8")
+    code, stdout, _ = run_cli(capsys, "--json", "purify", str(small_fixture))
+    assert code == 0 and json.loads(stdout)["read"] == 3
 
 
 def test_fixture_mode_never_dials_llm(tmp_path, small_fixture, capsys, monkeypatch):
@@ -189,6 +236,14 @@ def test_select_malformed_line_cites_number(tmp_path, capsys):
     path.write_text('{"repo": "a/a", "stars": 1, "issues": 1, "pulls": 1}\n{"repo": "b/b"}\n')
     code, _, err = run_cli(capsys, "select", str(path))
     assert code == 2 and "line 2" in err
+
+
+def test_select_undecodable_line_is_data_error(tmp_path, capsys):
+    path = tmp_path / "stats.jsonl"
+    path.write_bytes(b'{"repo": "a/a", "stars": 1, "issues": 1, "pulls": 1}\n{"repo": "b/\xff"}\n')
+    code, _, err = run_cli(capsys, "select", str(path))
+    assert code == 2
+    assert err.startswith("error: malformed stats entry") and "line 2" in err
 
 
 # --- purify ---------------------------------------------------------------

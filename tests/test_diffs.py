@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from memgov.diffs import (
     ADD,
     CONTEXT,
     DEL,
+    Diff,
+    DiffLine,
     DiffParseError,
+    FileDiff,
+    Hunk,
     hunk_stats,
     parse_unified_diff,
     render_diff,
@@ -166,3 +172,68 @@ def test_adversarial_mutations_fail_with_line_numbers():
 def test_hunk_stats_counts_adds_and_dels():
     stats = hunk_stats(parse_unified_diff(MINIMAL))
     assert stats == {"f": (1, 1, 1)}
+
+
+# --- render/parse fixpoint properties --------------------------------------
+
+# Paths and header text the format can carry: no whitespace, so no " b/"
+# splits a git header line and no label loses a tail.
+_PATHS = st.text("abxyz019._/-", min_size=1, max_size=12)
+_TEXT = st.text(st.characters(blacklist_characters="\n"), max_size=20)
+_METADATA = st.sampled_from(
+    ["old mode 100644", "new mode 100755", "new file mode 100644", "deleted file mode 100644",
+     "index 1a2b3c4..5d6e7f8 100644", "similarity index 90%", "copy from q", "copy to r"]
+)
+
+
+@st.composite
+def hunks(draw):
+    kinds = draw(st.lists(st.sampled_from([CONTEXT, ADD, DEL]), max_size=6))
+    lines = tuple(DiffLine(kind, draw(_TEXT), draw(st.booleans())) for kind in kinds)
+    old_len = sum(1 for line in lines if line.kind != ADD)
+    new_len = sum(1 for line in lines if line.kind != DEL)
+    section = draw(_TEXT).lstrip()
+    return Hunk(draw(st.integers(0, 999)), old_len, draw(st.integers(0, 999)), new_len, section, lines)
+
+
+@st.composite
+def file_diffs(draw):
+    metadata = tuple(draw(st.lists(_METADATA, max_size=3)))
+    old, new = draw(_PATHS), draw(_PATHS)
+    if draw(st.booleans()):  # a rename names its paths in the metadata too
+        metadata += (f"rename from {old}", f"rename to {new}")
+    file_hunks = tuple(draw(st.lists(hunks(), max_size=3)))
+    if file_hunks:  # only labels can say /dev/null
+        old = draw(st.sampled_from([old, "/dev/null"]))
+        new = draw(st.sampled_from([new, "/dev/null"]))
+    return FileDiff(old, new, file_hunks, metadata)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(diff=st.lists(file_diffs(), min_size=1, max_size=4).map(lambda files: Diff(tuple(files))))
+def test_generated_diffs_round_trip(diff):
+    assert parse_unified_diff(render_diff(diff)) == diff
+
+
+_SOUP_LINES = [
+    "diff --git a/x b/x", "diff --git a/y b/z", "--- a/x", "+++ b/x", "--- /dev/null",
+    "+++ /dev/null", "--- y\t2024-01-01", "@@ -1 +1 @@", "@@ -1,2 +1,2 @@  def f():",
+    "@@ -0,0 +1 @@", "@@ -1 +0,0 @@", "+a", "-a", " a", "", "\\ No newline at end of file",
+    "new file mode 100644", "rename from x", "rename to w", "index 1..2", "Binary files a and b differ",
+    "garbage",
+]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(lines=st.lists(st.sampled_from(_SOUP_LINES), min_size=1, max_size=14), newline=st.booleans())
+@example(
+    lines=["diff --git a/x b/x", "diff --git a/y b/z", "--- a/x", "+++ b/x", "@@ -1 +1 @@", "-a", "+a"],
+    newline=True,
+)
+def test_line_soup_parses_to_a_fixpoint_or_fails(lines, newline):
+    text = "\n".join(lines) + ("\n" if newline else "")
+    try:
+        diff = parse_unified_diff(text)
+    except DiffParseError:
+        return
+    assert parse_unified_diff(render_diff(diff)) == diff

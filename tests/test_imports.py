@@ -31,13 +31,10 @@ def loaded_after(code: str, modules: list[str]) -> list[str]:
         ("import memgov.cli", ["requests", "http.server", "memgov.server"]),
         ("import memgov.store", ["requests", "memgov.pipeline"]),
         ("import memgov.providers, memgov.ingestion", ["requests"]),
+        ("import memgov.ingestion", ["requests", "memgov.providers"]),
     ],
-    ids=["cli", "store", "http-clients"],
+    ids=["cli", "store", "http-clients", "ingestion"],
 )
 def test_import_leaves_unused_modules_unloaded(code, absent):
     assert loaded_after(code, absent) == []
 
-
-def test_http_forge_client_loads_requests_when_constructed():
-    code = "from memgov.ingestion import HttpForgeClient\nHttpForgeClient(base_url='http://127.0.0.1:9')"
-    assert loaded_after(code, ["requests"]) == ["requests"]

@@ -1,81 +1,22 @@
 from __future__ import annotations
 
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 
 import pytest
 
-from memgov.errors import DataError, SourceError
+from memgov.errors import DataError
 from memgov.ingestion import (
     AuthorRole,
     Comment,
-    FixtureForge,
-    HttpForgeClient,
     ItemError,
     RawTriplet,
     RepoStats,
-    detect_linked_issues,
-    fetch_repo_stats,
-    harvest_triplets,
     load_fixture_triplets,
     triplet_from_dict,
     triplet_to_dict,
 )
 
 from conftest import make_triplet
-
-
-def raw_record(repo="acme/widgets", issue_number=1, pr=None, pr_body="", refs=None):
-    record = {
-        "repo": repo,
-        "issue": {"number": issue_number, "title": "t", "body": "b", "comments": []},
-        "pr": pr,
-        "patch_text": "--- a/f\n+++ b/f\n@@ -1,1 +1,1 @@\n-x\n+y\n",
-    }
-    if pr == "default":
-        record["pr"] = {
-            "number": 100 + issue_number,
-            "merged": True,
-            "title": "fix",
-            "body": pr_body,
-            "linked_issue_refs": refs or [],
-            "discussion": [],
-        }
-    return record
-
-
-def write_fixture_dir(root: Path, repos: list[dict], records: dict[str, list]) -> FixtureForge:
-    root.mkdir(parents=True, exist_ok=True)
-    (root / "repos.json").write_text(json.dumps(repos))
-    triplets = root / "triplets"
-    triplets.mkdir(exist_ok=True)
-    for repo, items in records.items():
-        path = triplets / (repo.replace("/", "__") + ".jsonl")
-        with path.open("w") as fh:
-            for item in items:
-                fh.write((item if isinstance(item, str) else json.dumps(item)) + "\n")
-    return FixtureForge(root)
-
-
-def test_fetch_repo_stats_boundary_inclusive(tmp_path):
-    forge = write_fixture_dir(
-        tmp_path,
-        [
-            {"repo": "a/low", "stars": 50, "issues": 1, "pulls": 1},
-            {"repo": "b/edge", "stars": 100, "issues": 2, "pulls": 2},
-            {"repo": "c/high", "stars": 101, "issues": 3, "pulls": 3},
-        ],
-        {},
-    )
-    kept = fetch_repo_stats(forge, min_stars=100)
-    assert [s.repo for s in kept] == ["b/edge", "c/high"]
-
-
-def test_fetch_repo_stats_empty_fixture(tmp_path):
-    forge = write_fixture_dir(tmp_path, [], {})
-    assert fetch_repo_stats(forge) == []
 
 
 def test_repo_stats_validation():
@@ -89,62 +30,6 @@ def test_comment_body_empty_only_for_bots():
     Comment(author_role=AuthorRole.BOT, body="", timestamp=make_triplet().issue.comments[0].timestamp)
     with pytest.raises(DataError):
         Comment(author_role=AuthorRole.CONTRIBUTOR, body="", timestamp=make_triplet().issue.comments[0].timestamp)
-
-
-def test_detect_linked_issues_patterns():
-    refs = detect_linked_issues("Fixes #12", "also CLOSES #9 and resolves #4", ["fixes #12 again"])
-    assert refs == {4, 9, 12}
-    assert detect_linked_issues("unrelated", "mentions #5 without verb", []) == set()
-
-
-def test_harvest_pairs_issue_with_referencing_pr(tmp_path):
-    forge = write_fixture_dir(
-        tmp_path,
-        [],
-        {
-            "acme/widgets": [
-                raw_record(issue_number=1, pr="default", pr_body="fixes #1"),
-                raw_record(issue_number=2, pr="default", refs=[2]),
-            ]
-        },
-    )
-    out = list(harvest_triplets(forge, "acme/widgets"))
-    assert [t.issue.number for t in out] == [1, 2]
-    for t in out:
-        assert t.issue.number in t.pr.linked_issue_refs
-
-
-def test_harvest_drops_issue_without_pr(tmp_path):
-    forge = write_fixture_dir(tmp_path, [], {"acme/widgets": [raw_record(issue_number=3, pr=None)]})
-    assert list(harvest_triplets(forge, "acme/widgets")) == []
-
-
-def test_harvest_drops_unlinked_pr(tmp_path):
-    forge = write_fixture_dir(
-        tmp_path,
-        [],
-        {"acme/widgets": [raw_record(issue_number=4, pr="default", pr_body="no reference here")]},
-    )
-    assert list(harvest_triplets(forge, "acme/widgets")) == []
-
-
-def test_harvest_yields_item_errors_not_termination(tmp_path):
-    forge = write_fixture_dir(
-        tmp_path,
-        [],
-        {
-            "acme/widgets": [
-                raw_record(issue_number=1, pr="default", refs=[1]),
-                "{corrupt json",
-                raw_record(issue_number=3, pr="default", refs=[3]),
-            ]
-        },
-    )
-    out = list(harvest_triplets(forge, "acme/widgets"))
-    triplets = [t for t in out if isinstance(t, RawTriplet)]
-    errors = [e for e in out if isinstance(e, ItemError)]
-    assert len(triplets) == 2 and len(errors) == 1
-    assert errors[0].line == 2
 
 
 def test_load_fixture_triplets_order_and_determinism(tmp_path, triplet):
@@ -181,66 +66,3 @@ def test_load_fixture_triplets_missing_file(tmp_path):
 
 def test_triplet_serde_round_trip(triplet):
     assert triplet_from_dict(triplet_to_dict(triplet)) == triplet
-
-
-def test_unreachable_source_is_retryable_error():
-    client = HttpForgeClient(base_url="http://127.0.0.1:9", max_retries=1, backoff=0.0)
-    with pytest.raises(SourceError) as err:
-        client.list_repo_stats()
-    assert err.value.retryable
-
-
-class _ForgeHandler(BaseHTTPRequestHandler):
-    calls = 0
-
-    def log_message(self, *args):
-        pass
-
-    def do_GET(self):
-        _ForgeHandler.calls += 1
-        if self.path.startswith("/repos/acme/widgets/triplets"):
-            page = int(self.path.split("page=")[1])
-            if page == 1:
-                body = {"items": [raw_record(issue_number=1, pr="default", refs=[1])], "next_page": 2}
-            else:
-                body = {"items": [raw_record(issue_number=2, pr="default", refs=[2])], "next_page": None}
-        elif self.path == "/repos":
-            if _ForgeHandler.calls == 1:  # first hit fails; client must retry
-                self.send_response(500)
-                self.end_headers()
-                return
-            body = [{"repo": "acme/widgets", "stars": 123, "issues": 4, "pulls": 5}]
-        else:
-            self.send_response(404)
-            self.end_headers()
-            return
-        payload = json.dumps(body).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-
-@pytest.fixture
-def forge_server():
-    _ForgeHandler.calls = 0
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _ForgeHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}"
-    server.shutdown()
-    server.server_close()
-
-
-def test_http_client_retries_then_succeeds(forge_server):
-    client = HttpForgeClient(base_url=forge_server, max_retries=2, backoff=0.0)
-    stats = fetch_repo_stats(client, min_stars=100)
-    assert [s.repo for s in stats] == ["acme/widgets"]
-    assert _ForgeHandler.calls >= 2
-
-
-def test_http_client_paginates_transparently(forge_server):
-    client = HttpForgeClient(base_url=forge_server, max_retries=1, backoff=0.0)
-    out = list(harvest_triplets(client, "acme/widgets"))
-    assert [t.issue.number for t in out] == [1, 2]

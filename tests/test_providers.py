@@ -8,7 +8,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from memgov.errors import MalformedOutputError, ProviderError
-from memgov.providers import HttpChatProvider
+from memgov.providers import HttpChatProvider, retry_call
 
 
 def completion(text: str) -> bytes:
@@ -128,3 +128,59 @@ def test_request_log_gains_one_json_line_per_call(chat_server, tmp_path):
         {"model": "stub-model", "prompt": "first", "response": "one"},
         {"model": "stub-model", "prompt": "second", "response": "two"},
     ]
+
+
+# --- retry_call ------------------------------------------------------------
+
+
+def flaky(*outcomes):
+    """A callable that raises or returns each outcome in turn, and the list
+    of calls made to it."""
+    calls = []
+
+    def fn():
+        outcome = outcomes[len(calls)]
+        calls.append(outcome)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    return fn, calls
+
+
+def test_retry_call_returns_the_first_success_without_sleeping():
+    fn, calls = flaky("ok")
+    sleeps = []
+    assert retry_call(fn, sleep=sleeps.append) == "ok"
+    assert len(calls) == 1 and sleeps == []
+
+
+def test_retry_call_backs_off_exponentially_between_retryable_errors():
+    fn, calls = flaky(ProviderError("a"), ProviderError("b"), ProviderError("c"), "ok")
+    sleeps = []
+    assert retry_call(fn, retries=3, backoff=0.5, sleep=sleeps.append) == "ok"
+    assert len(calls) == 4 and sleeps == [0.5, 1.0, 2.0]
+
+
+def test_retry_call_reraises_after_the_last_retry():
+    errors = [ProviderError(str(n)) for n in range(4)]
+    fn, calls = flaky(*errors)
+    sleeps = []
+    with pytest.raises(ProviderError) as err:
+        retry_call(fn, retries=3, backoff=0.5, sleep=sleeps.append)
+    assert err.value is errors[-1]
+    assert len(calls) == 4 and sleeps == [0.5, 1.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "error",
+    [MalformedOutputError("shape"), ProviderError("denied", retryable=False), ValueError("bug")],
+    ids=["malformed-output", "not-retryable", "value-error"],
+)
+def test_retry_call_lets_other_errors_through_at_once(error):
+    fn, calls = flaky(error, "ok")
+    sleeps = []
+    with pytest.raises(type(error)) as err:
+        retry_call(fn, sleep=sleeps.append)
+    assert err.value is error
+    assert len(calls) == 1 and sleeps == []
