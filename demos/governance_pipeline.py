@@ -76,15 +76,15 @@ print(f"wrote {len(rows)} raw triplets to {fixture}")
 
 # Govern: purify -> condense -> distill + checklist QC -> dedup -> index.
 store_dir = workdir / "store"
-audit = AuditLog(workdir / "audit.jsonl")
-counts = run_govern(
-    load_fixture_triplets(fixture),
-    store_dir,
-    PipelineConfig(),
-    distiller=RuleBasedDistiller(),
-    evaluator=RuleBasedEvaluator(),
-    audit=audit,
-)
+with AuditLog(workdir / "audit.jsonl") as audit:
+    counts = run_govern(
+        load_fixture_triplets(fixture),
+        store_dir,
+        PipelineConfig(),
+        distiller=RuleBasedDistiller(),
+        evaluator=RuleBasedEvaluator(),
+        audit=audit,
+    )
 print("\npipeline counts:")
 for key, value in counts.as_dict().items():
     print(f"  {key:12s} {value}")

@@ -142,6 +142,7 @@ def _providers(args, cfg: PipelineConfig):
     configured and --fixture-mode is off."""
     endpoint = cfg.provider.endpoint or os.environ.get(ENV_LLM_ENDPOINT)
     if args.fixture_mode or not endpoint:
+        RuleBasedEvaluator.check_dimensions(cfg.qc.dimensions)
         return RuleBasedDistiller(), RuleBasedEvaluator()
     from .distillation import ChatDistiller
     from .quality import ChatEvaluator
@@ -162,16 +163,16 @@ def cmd_govern(args) -> int:
         raise DataError(f"input file not found: {input_path}")
     distiller, evaluator = _providers(args, cfg)
     audit_path = cfg.paths.audit_log or str(Path(args.output_dir) / "audit.jsonl")
-    audit = AuditLog(audit_path)
-    counts = run_govern(
-        load_fixture_triplets(input_path),
-        args.output_dir,
-        cfg,
-        distiller=distiller,
-        evaluator=evaluator,
-        audit=audit,
-        workers=args.workers,
-    )
+    with AuditLog(audit_path) as audit:
+        counts = run_govern(
+            load_fixture_triplets(input_path),
+            args.output_dir,
+            cfg,
+            distiller=distiller,
+            evaluator=evaluator,
+            audit=audit,
+            workers=args.workers,
+        )
     if args.json:
         print(json.dumps(counts.as_dict()))
     else:
@@ -224,8 +225,8 @@ def cmd_purify(args) -> int:
     input_path = Path(args.input)
     if not input_path.is_file():
         raise DataError(f"input file not found: {input_path}")
-    audit = AuditLog(args.audit_log)
-    counts = run_purify_only(load_fixture_triplets(input_path), cfg, audit=audit)
+    with AuditLog(args.audit_log) as audit:
+        counts = run_purify_only(load_fixture_triplets(input_path), cfg, audit=audit)
     if args.json:
         print(json.dumps(counts))
     else:

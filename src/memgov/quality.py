@@ -122,13 +122,15 @@ class RuleBasedEvaluator:
     def scores(
         self, card: ExperienceCard, instance: PurifiedInstance, dimensions: tuple[str, ...]
     ) -> dict[str, tuple[float, str]]:
-        out: dict[str, tuple[float, str]] = {}
+        self.check_dimensions(dimensions)
+        return {dim: getattr(self, "_" + dim.replace("-", "_"))(card, instance) for dim in dimensions}
+
+    @staticmethod
+    def check_dimensions(dimensions: tuple[str, ...]) -> None:
+        """Refuse a dimension that has no rule, before any card is scored."""
         for dim in dimensions:
-            method = getattr(self, "_" + dim.replace("-", "_"), None)
-            if method is None:
+            if dim not in DEFAULT_DIMENSIONS:
                 raise ConfigError(f"rule-based evaluator has no rule for dimension {dim!r}")
-            out[dim] = method(card, instance)
-        return out
 
     def _source_tokens(self, instance: PurifiedInstance) -> set[str]:
         issue = instance.triplet.issue

@@ -32,6 +32,15 @@ are kept; creating one more drops the oldest, which then answers 404. The
 store snapshot is immutable while serving, so concurrent reads need no
 locking; session logs are the only mutable state and are synchronized
 internally.
+
+Serving model: a fixed pool of at most MAX_WORKERS reused threads answers
+the requests, one per connection (HTTP/1.0), so at most MAX_WORKERS run at
+once. Further connections wait in the listen backlog until a worker is
+free. A connection silent for REQUEST_TIMEOUT_SECONDS on any read or write
+is closed; a body that stalls that long answers 408 request_timeout.
+server_close() waits for the requests in flight, so a clean stop (SIGTERM
+or SIGINT under `memgov serve`) finishes them, and a client holding an idle
+connection open delays it by at most REQUEST_TIMEOUT_SECONDS.
 """
 
 from __future__ import annotations
@@ -42,9 +51,10 @@ import socket
 import threading
 import time
 import uuid
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 from .cards import ExperienceCard, card_to_dict
 from .errors import DataError, MemgovError, UnembeddableTextError, UnknownCardError
@@ -62,6 +72,11 @@ LINGER_BYTES = 64 << 20
 LINGER_SECONDS = 2.0
 # Most live sessions; creating one more evicts the oldest created.
 MAX_SESSIONS = 10_000
+# Most requests served at once, each on a reused pool thread.
+MAX_WORKERS = 32
+# Seconds a connection may stay silent, on any one read or write, before
+# the server closes it; also bounds how long a clean stop waits.
+REQUEST_TIMEOUT_SECONDS = 5.0
 
 
 @dataclass(frozen=True)
@@ -263,9 +278,12 @@ _SESSION_PATH = re.compile(r"^/v1/session/([0-9a-f]+)$")
 
 class _Handler(BaseHTTPRequestHandler):
     service: ToolService  # set by make_http_server
-    # HTTP/1.0: one request per connection, so handler threads finish with
+    # HTTP/1.0: one request per connection, so pool threads finish with
     # their request and a clean shutdown only waits for in-flight work.
     protocol_version = "HTTP/1.0"
+    # Buffer the answer so that its headers and body leave in one send,
+    # flushed after do_* returns; the linger below flushes by hand.
+    wbufsize = 1 << 16
 
     def log_message(self, fmt, *args):  # quiet by default
         pass
@@ -306,6 +324,7 @@ class _Handler(BaseHTTPRequestHandler):
         deadline = time.monotonic() + LINGER_SECONDS
         left = LINGER_BYTES
         try:
+            self.wfile.flush()
             self.connection.shutdown(socket.SHUT_WR)
             while left > 0 and (remaining := deadline - time.monotonic()) > 0:
                 self.connection.settimeout(remaining)
@@ -328,7 +347,10 @@ class _Handler(BaseHTTPRequestHandler):
             raise _ApiError(
                 413, "payload_too_large", f"body of {length} bytes exceeds {MAX_BODY_BYTES}"
             )
-        raw = self.rfile.read(length) if length else b""
+        try:
+            raw = self.rfile.read(length) if length else b""
+        except TimeoutError:  # the client stalled mid-body
+            raise _ApiError(408, "request_timeout", f"body not received within {self.timeout} s")
         if not raw:
             return {}
         try:
@@ -428,14 +450,45 @@ def _session_id(body: dict) -> str | None:
     return session_id
 
 
-def make_http_server(service: ToolService, host: str = "127.0.0.1", port: int = 0) -> ThreadingHTTPServer:
+class _PooledHTTPServer(HTTPServer):
+    """HTTPServer whose accept loop hands each connection to a pool of
+    reused threads and waits while all of them are busy."""
+
+    request_queue_size = 128  # listen backlog: where further connections wait
+
+    def __init__(self, address, handler):
+        # Before binding: a failed bind calls server_close(). No thread
+        # starts until the first request.
+        self._pool = ThreadPoolExecutor(MAX_WORKERS, thread_name_prefix="memgov-http")
+        self._free = threading.BoundedSemaphore(MAX_WORKERS)
+        super().__init__(address, handler)
+
+    def process_request(self, request, client_address) -> None:
+        self._free.acquire()
+        self._pool.submit(self._serve_one, request, client_address)
+
+    def _serve_one(self, request, client_address) -> None:
+        try:
+            self.finish_request(request, client_address)
+        except Exception:
+            self.handle_error(request, client_address)
+        finally:
+            self.shutdown_request(request)
+            self._free.release()
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._pool.shutdown()  # waits for the requests in flight
+
+
+def make_http_server(service: ToolService, host: str = "127.0.0.1", port: int = 0) -> HTTPServer:
     """Build (but do not start) the HTTP server bound to host:port.
 
     Port 0 picks a free port; server.server_address reports the real one.
-    Call serve_forever() to run and shutdown() for a clean stop that lets
-    in-flight requests finish.
+    Call serve_forever() to run, then shutdown() and server_close() for a
+    clean stop that lets in-flight requests finish.
     """
-    handler = type("BoundHandler", (_Handler,), {"service": service})
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = False
-    return server
+    handler = type(
+        "BoundHandler", (_Handler,), {"service": service, "timeout": REQUEST_TIMEOUT_SECONDS}
+    )
+    return _PooledHTTPServer((host, port), handler)

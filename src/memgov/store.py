@@ -214,7 +214,9 @@ class MemoryStore:
             )
         row = len(self._ids)
         if row == len(self._matrix):
-            capacity = max(2 * row, 64)
+            # +16 keeps capacity off a power of two: a row's stores lie
+            # capacity * 4 bytes apart and would all hit the same cache sets.
+            capacity = max(2 * row, 64) + 16
             matrix = np.empty((capacity, self.dimension), dtype=np.float32, order="F")
             matrix[:row] = self._matrix[:row]
             norms = np.empty(capacity)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import signal
 import socket
@@ -12,13 +13,14 @@ import pytest
 import requests
 
 from memgov.cards import card_from_dict, validate_schema
-from memgov.cli import main
-from memgov.config import PipelineConfig
+from memgov.cli import _providers, main
+from memgov.config import PipelineConfig, config_from_dict
 from memgov.distillation import RuleBasedDistiller
 from memgov.errors import ConfigError
 from memgov.ingestion import load_fixture_triplets
 from memgov.pipeline import run_govern
 from memgov.quality import RuleBasedEvaluator
+from memgov.server import REQUEST_TIMEOUT_SECONDS
 from memgov.store import MemoryStore
 from memgov.embedding import HashingEmbedder
 
@@ -172,6 +174,38 @@ def test_bad_config_value_is_data_error(tmp_path, small_fixture, capsys, config)
     assert code == 2
     assert err.startswith("error: ")
     assert not out.exists()
+
+
+# "source-tokens" names a helper method, not a rule; it used to be called as one.
+@pytest.mark.parametrize("dimension", ["nope", "source-tokens"])
+def test_unknown_qc_dimension_is_refused_before_any_output(tmp_path, small_fixture, capsys, dimension):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"qc": {"dimensions": [dimension]}}))
+    out = tmp_path / "store"
+    code, _, err = run_cli(
+        capsys, "--fixture-mode", "--config", str(config_path), "govern", str(small_fixture), str(out)
+    )
+    assert code == 2
+    assert err == f"error: rule-based evaluator has no rule for dimension {dimension!r}\n"
+    assert not out.exists()
+    assert not (out / "audit.jsonl").exists()
+
+
+def test_chat_evaluator_takes_any_qc_dimension(monkeypatch):
+    monkeypatch.setenv("MEMGOV_LLM_ENDPOINT", "http://127.0.0.1:9/v1/chat")
+    monkeypatch.setenv("MEMGOV_LLM_MODEL", "anything")
+    cfg = config_from_dict({"qc": {"dimensions": ["nope"]}})
+    _distiller, evaluator = _providers(argparse.Namespace(fixture_mode=False), cfg)
+    assert not isinstance(evaluator, RuleBasedEvaluator)
+
+
+def test_failed_govern_keeps_the_audit_records_written(tmp_path, small_fixture, capsys):
+    out = tmp_path / "store"
+    (out / "cards.jsonl").mkdir(parents=True)  # save() cannot write the store
+    code, _, _ = run_cli(capsys, "govern", str(small_fixture), str(out))
+    assert code == 3
+    audit = [json.loads(l) for l in (out / "audit.jsonl").read_text().splitlines()]
+    assert len(audit) == 3  # one QC decision per triplet
 
 
 def test_undecodable_triplet_line_is_one_item_error(tmp_path, small_fixture, capsys):
@@ -432,6 +466,28 @@ def test_serve_health_and_clean_shutdown(built_store):
     finally:
         if proc.poll() is None:
             proc.kill()
+
+
+def test_serve_stops_on_sigterm_while_a_connection_stays_silent(built_store):
+    port = _free_port()
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "memgov.cli", "serve", str(built_store), "--port", str(port)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    try:
+        assert proc.stdout.readline().startswith("serving ")
+        with socket.create_connection(("127.0.0.1", port), timeout=10):
+            # Answered after the silent connection was accepted and handed on.
+            assert requests.get(f"http://127.0.0.1:{port}/v1/health", timeout=10).ok
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=REQUEST_TIMEOUT_SECONDS + 2) == 0
+        assert "shut down cleanly" in proc.stdout.read()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.stdout.close()
 
 
 def test_serve_occupied_port_is_infrastructure_error(built_store):

@@ -4,6 +4,8 @@ import json
 import socket
 import string
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from urllib.parse import quote
 
 import pytest
@@ -11,6 +13,7 @@ import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from memgov import server as server_module
 from memgov.embedding import HashingEmbedder
 from memgov.server import (
     MAX_BODY_BYTES,
@@ -458,3 +461,122 @@ def test_search_request_validation():
         SearchRequest(query="x", top_k=0)
     with pytest.raises(Exception):
         BrowseRequest(card_id="")
+
+
+# --- the worker pool ----------------------------------------------------------
+
+POOL_TIMEOUT = 0.3  # REQUEST_TIMEOUT_SECONDS in the pool tests
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """A live server with two workers and a 0.3 s request timeout."""
+    monkeypatch.setattr(server_module, "MAX_WORKERS", 2)
+    monkeypatch.setattr(server_module, "REQUEST_TIMEOUT_SECONDS", POOL_TIMEOUT)
+    service, cards = build_service()
+    server = make_http_server(service)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server, f"http://127.0.0.1:{server.server_address[1]}", service, cards
+    server.shutdown()
+    server.server_close()
+
+
+def silent_connection(base) -> socket.socket:
+    """Open a connection that sends nothing."""
+    return socket.create_connection(("127.0.0.1", int(base.rsplit(":", 1)[1])), timeout=10)
+
+
+def test_concurrent_clients_get_the_sequential_answers(pooled):
+    _server, base, _service, cards = pooled
+    calls = [("GET", "/v1/health", None)]
+    calls += [("POST", "/v1/search", {"query": f"worker pool deadlock variant {c}"}) for c in "abc"]
+    calls += [("POST", "/v1/browse", {"card_id": card.card_id}) for card in cards[:4]]
+
+    def call(method, path, body):
+        resp = requests.request(method, base + path, json=body)
+        return resp.status_code, resp.content
+
+    sequential = [call(*c) for c in calls]
+    barrier = threading.Barrier(len(calls))
+
+    def concurrent(c):
+        barrier.wait()
+        return call(*c)
+
+    with ThreadPoolExecutor(len(calls)) as clients:
+        assert list(clients.map(concurrent, calls)) == sequential
+    assert all(status == 200 for status, _ in sequential)
+
+
+def test_request_in_flight_at_shutdown_is_answered_before_close_returns(pooled):
+    server, base, service, _cards = pooled
+    entered, release = threading.Event(), threading.Event()
+    search = service.handle_search
+
+    def held_search(req):
+        entered.set()
+        release.wait(10)
+        return search(req)
+
+    service.handle_search = held_search
+    answers = []
+    client = threading.Thread(
+        target=lambda: answers.append(requests.post(f"{base}/v1/search", json={"query": "deadlock"}))
+    )
+    client.start()
+    assert entered.wait(10)
+    server.shutdown()
+    closer = threading.Thread(target=server.server_close)
+    closer.start()
+    closer.join(0.5)
+    assert closer.is_alive()  # server_close waits for the request in flight
+    release.set()
+    closer.join(10)
+    client.join(10)
+    assert not closer.is_alive()
+    assert answers[0].status_code == 200
+    assert len(answers[0].json()["hits"]) == 5
+
+
+@pytest.mark.parametrize("silent", [1, 2], ids=["one-worker-free", "all-workers-held"])
+def test_health_is_answered_while_connections_stay_silent(pooled, silent):
+    _server, base, _service, cards = pooled
+    sockets = [silent_connection(base) for _ in range(silent)]
+    try:
+        start = time.monotonic()
+        resp = requests.get(f"{base}/v1/health", timeout=10)
+        elapsed = time.monotonic() - start
+    finally:
+        for sock in sockets:
+            sock.close()
+    assert resp.status_code == 200
+    assert resp.json()["card_count"] == len(cards)
+    if silent == 1:  # a free worker answers at once; otherwise the timeout frees one
+        assert elapsed < POOL_TIMEOUT
+    else:
+        assert elapsed < POOL_TIMEOUT + 2.0
+
+
+def test_server_stops_within_the_timeout_while_a_connection_stays_silent(pooled):
+    server, base, _service, _cards = pooled
+    sock = silent_connection(base)
+    # Answered after the silent connection was accepted and handed on.
+    assert requests.get(f"{base}/v1/health", timeout=10).status_code == 200
+    stopper = threading.Thread(target=lambda: (server.shutdown(), server.server_close()))
+    start = time.monotonic()
+    stopper.start()
+    try:
+        stopper.join(POOL_TIMEOUT + 2.0)
+        assert not stopper.is_alive(), "server_close waited on the silent connection"
+        assert time.monotonic() - start < POOL_TIMEOUT + 2.0
+    finally:
+        sock.close()
+        stopper.join(10)
+
+
+def test_stalled_body_times_out_without_a_500(pooled):
+    _server, base, _service, _cards = pooled
+    status, body = raw_request(base, "POST /v1/search HTTP/1.0\r\nContent-Length: 100", b'{"query": ')
+    assert status == 408
+    assert body["error"]["code"] == "request_timeout"
