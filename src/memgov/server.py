@@ -35,9 +35,15 @@ internally.
 
 Serving model: a fixed pool of at most MAX_WORKERS reused threads answers
 the requests, one per connection (HTTP/1.0), so at most MAX_WORKERS run at
-once. Further connections wait in the listen backlog until a worker is
-free. A connection silent for REQUEST_TIMEOUT_SECONDS on any read or write
-is closed; a body that stalls that long answers 408 request_timeout.
+once. Further connections wait, unanswered, until a worker is free. A
+connection silent for REQUEST_TIMEOUT_SECONDS on any read or write is
+closed; a body that stalls that long answers 408 request_timeout. A worker
+is taken when a connection is accepted, not when its request arrives, so
+MAX_WORKERS connections that send nothing hold every worker and make every
+other client, health checks included, wait up to REQUEST_TIMEOUT_SECONDS;
+a client that keeps reopening them keeps the server stalled. The timeout
+bounds each read, not the whole request, so a client that trickles its
+request a byte at a time holds a worker for as long as it keeps sending.
 server_close() waits for the requests in flight, so a clean stop (SIGTERM
 or SIGINT under `memgov serve`) finishes them, and a client holding an idle
 connection open delays it by at most REQUEST_TIMEOUT_SECONDS.
@@ -281,9 +287,6 @@ class _Handler(BaseHTTPRequestHandler):
     # HTTP/1.0: one request per connection, so pool threads finish with
     # their request and a clean shutdown only waits for in-flight work.
     protocol_version = "HTTP/1.0"
-    # Buffer the answer so that its headers and body leave in one send,
-    # flushed after do_* returns; the linger below flushes by hand.
-    wbufsize = 1 << 16
 
     def log_message(self, fmt, *args):  # quiet by default
         pass
@@ -324,7 +327,6 @@ class _Handler(BaseHTTPRequestHandler):
         deadline = time.monotonic() + LINGER_SECONDS
         left = LINGER_BYTES
         try:
-            self.wfile.flush()
             self.connection.shutdown(socket.SHUT_WR)
             while left > 0 and (remaining := deadline - time.monotonic()) > 0:
                 self.connection.settimeout(remaining)
@@ -454,8 +456,6 @@ class _PooledHTTPServer(HTTPServer):
     """HTTPServer whose accept loop hands each connection to a pool of
     reused threads and waits while all of them are busy."""
 
-    request_queue_size = 128  # listen backlog: where further connections wait
-
     def __init__(self, address, handler):
         # Before binding: a failed bind calls server_close(). No thread
         # starts until the first request.
@@ -465,7 +465,11 @@ class _PooledHTTPServer(HTTPServer):
 
     def process_request(self, request, client_address) -> None:
         self._free.acquire()
-        self._pool.submit(self._serve_one, request, client_address)
+        try:
+            self._pool.submit(self._serve_one, request, client_address)
+        except BaseException:  # e.g. no thread could start: give the slot back
+            self._free.release()
+            raise
 
     def _serve_one(self, request, client_address) -> None:
         try:

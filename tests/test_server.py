@@ -552,7 +552,8 @@ def test_health_is_answered_while_connections_stay_silent(pooled, silent):
             sock.close()
     assert resp.status_code == 200
     assert resp.json()["card_count"] == len(cards)
-    # With every worker held, the answer waits for the timeout to free one.
+    # With every worker held, the answer waits for the timeout to free one:
+    # the documented limit of a fixed pool, not a hang.
     assert elapsed < POOL_TIMEOUT + 2.0
 
 
@@ -578,3 +579,27 @@ def test_stalled_body_times_out_without_a_500(pooled):
     status, body = raw_request(base, "POST /v1/search HTTP/1.0\r\nContent-Length: 100", b'{"query": ')
     assert status == 408
     assert body["error"]["code"] == "request_timeout"
+
+
+def test_a_failed_hand_off_gives_its_worker_back(pooled):
+    server, base, _service, _cards = pooled
+    submit, failures = server._pool.submit, [2]  # one per worker
+
+    def failing_submit(*args):
+        if failures[0]:
+            failures[0] -= 1
+            raise RuntimeError("can't start new thread")
+        return submit(*args)
+
+    server._pool.submit = failing_submit
+    for _ in range(2):
+        with silent_connection(base) as sock:
+            sock.sendall(b"GET /v1/health HTTP/1.0\r\n\r\n")
+            assert sock.recv(1024) == b""  # closed unanswered
+    # Checked without blocking: a lost slot would hang the accept loop.
+    free = [server._free.acquire(blocking=False) for _ in range(2)]
+    for taken in free:
+        if taken:
+            server._free.release()
+    assert all(free)
+    assert requests.get(f"{base}/v1/health", timeout=5).status_code == 200
