@@ -16,6 +16,11 @@ import json
 from pathlib import Path
 
 
+def rejection(repo: str | None, issue: int | None, pr: int | None, reason: str) -> dict:
+    """A rejection record; an unreadable item has no repo, issue or pr."""
+    return {"repo": repo, "issue": issue, "pr": pr, "reason": reason}
+
+
 class AuditLog:
     def __init__(self, path: str | Path | None):
         self.path = Path(path) if path else None
@@ -37,9 +42,6 @@ class AuditLog:
     def record(self, record: dict) -> None:
         if self._fh:
             self._fh.write(json.dumps(record) + "\n")
-
-    def rejection(self, repo: str | None, issue: int | None, pr: int | None, reason: str) -> None:
-        self.record({"repo": repo, "issue": issue, "pr": pr, "reason": reason})
 
     @property
     def entries(self) -> list[dict]:

@@ -35,7 +35,6 @@ CHUNK_PREFIX = "CHUNK:"
 # Long hexadecimal runs are treated as repo-specific identifiers (commit
 # hashes and the like); they must not appear in the index layer.
 _HEX_RUN = re.compile(r"[0-9a-fA-F]{12,}")
-_WS = re.compile(r"\s+")
 
 
 @dataclass(frozen=True)
@@ -90,13 +89,18 @@ class Violation:
         return f"{self.field}: {self.reason}"
 
 
+def normalized_text(text: str) -> str:
+    """Case-fold, collapse each whitespace run to one space, strip."""
+    return " ".join(text.casefold().split())
+
+
 def normalize_signal(raw: str) -> str:
-    """Canonicalize a signal phrase: case-fold, collapse whitespace, strip.
+    """Canonicalize a signal phrase with normalized_text.
 
     Raises EmptySignalError when nothing remains after normalization.
     Idempotent: normalize(normalize(x)) == normalize(x).
     """
-    out = _WS.sub(" ", raw.casefold()).strip()
+    out = normalized_text(raw)
     if not out:
         raise EmptySignalError(f"signal is empty after normalization: {raw!r}")
     return out
@@ -116,12 +120,6 @@ def parse_patch_digest(digest: str) -> tuple[list[str], list[str]]:
         elif line.startswith(CHUNK_PREFIX):
             chunks.append(line[len(CHUNK_PREFIX):].strip())
     return areas, chunks
-
-
-def _signal_key(signal: str) -> str:
-    # Dedup key: case-fold + whitespace normalization (no strip-to-empty
-    # rejection here; empty signals are flagged by the word-count check).
-    return _WS.sub(" ", signal.casefold()).strip()
 
 
 def _index_identifier_violations(card: ExperienceCard) -> list[Violation]:
@@ -164,7 +162,8 @@ def validate_schema(card: ExperienceCard) -> list[Violation]:
         words = len(sig.split())
         if not 1 <= words <= SIGNAL_MAX_WORDS:
             v.append(Violation(f"signals[{i}]", f"{words} words outside 1..{SIGNAL_MAX_WORDS}"))
-        key = _signal_key(sig)
+        # An empty key is no error here; the word-count check flags it.
+        key = normalized_text(sig)
         if key in seen:
             v.append(Violation(f"signals[{i}]", f"duplicate of signals[{seen[key]}] after normalization"))
         else:

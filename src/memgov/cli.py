@@ -133,10 +133,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_store(index_dir: str) -> MemoryStore:
-    return MemoryStore.load(index_dir)
-
-
 def _providers(args, cfg: PipelineConfig):
     """Pick distiller/evaluator: rule-based stubs unless an LLM endpoint is
     configured and --fixture-mode is off."""
@@ -238,7 +234,7 @@ def cmd_purify(args) -> int:
 def cmd_search(args) -> int:
     from .server import SearchRequest, ToolService, search_hit_to_dict
 
-    store = _load_store(args.index_dir)
+    store = MemoryStore.load(args.index_dir)
     service = ToolService(store)
     hits = service.handle_search(SearchRequest(query=args.query, top_k=args.top_k))
     if args.json:
@@ -255,7 +251,7 @@ def cmd_search(args) -> int:
 def cmd_browse(args) -> int:
     from .server import BrowseRequest, ToolService
 
-    store = _load_store(args.index_dir)
+    store = MemoryStore.load(args.index_dir)
     service = ToolService(store)
     card = service.handle_browse(BrowseRequest(card_id=args.card_id))
     if args.json:
@@ -277,7 +273,7 @@ def cmd_browse(args) -> int:
 def cmd_serve(args) -> int:
     from .server import ToolService, make_http_server
 
-    store = _load_store(args.index_dir)
+    store = MemoryStore.load(args.index_dir)
     service = ToolService(store)
     try:
         server = make_http_server(service, host=args.host, port=args.port)
@@ -378,7 +374,7 @@ def cmd_demo_agent(args) -> int:
         raise DataError(f"issue file not found: {issue_path}")
     from .server import ToolService
 
-    store = _load_store(args.index_dir)
+    store = MemoryStore.load(args.index_dir)
     service = ToolService(store)
     trace, brief = run_demo_agent(
         service, issue_path.read_text(), rounds=args.rounds, top_k=args.top_k

@@ -172,6 +172,25 @@ def _path_tokens(paths: list[str]) -> list[str]:
     return tokens
 
 
+def _card(request: DistillerRequest, fields: dict) -> ExperienceCard:
+    """The card for the request's source, with every field as text."""
+    triplet = request.instance.triplet
+    return ExperienceCard(
+        card_id=make_card_id(triplet.repo, triplet.issue.number, triplet.pr.number),
+        source=CardSource(triplet.repo, triplet.issue.number, triplet.pr.number),
+        index=IndexLayer(
+            problem_summary=str(fields["problem_summary"]),
+            signals=tuple(str(s) for s in fields["signals"]),
+        ),
+        resolution=ResolutionLayer(
+            root_cause=str(fields["root_cause"]),
+            fix_strategy=str(fields["fix_strategy"]),
+            patch_digest=str(fields["patch_digest"]),
+            verification=str(fields["verification"]),
+        ),
+    )
+
+
 class RuleBasedDistiller:
     """Deterministic extractor used offline and in tests.
 
@@ -181,30 +200,14 @@ class RuleBasedDistiller:
     is templated from diff file paths and hunk statistics.
     """
 
-    def __init__(self, react_to_feedback: bool = True):
-        self.react_to_feedback = react_to_feedback
-
     def distill(self, request: DistillerRequest) -> ExperienceCard:
         anchor_names = self._anchor_tokens(request)
         fields = self._base_fields(request, anchor_names)
-        if request.feedback and self.react_to_feedback:
+        if request.feedback:
             improved = self._improved_fields(request, fields, anchor_names)
             for name in self._feedback_fields(request.feedback):
                 fields[name] = improved[name]
-        triplet = request.instance.triplet
-        return ExperienceCard(
-            card_id=make_card_id(triplet.repo, triplet.issue.number, triplet.pr.number),
-            source=CardSource(triplet.repo, triplet.issue.number, triplet.pr.number),
-            index=IndexLayer(
-                problem_summary=fields["problem_summary"], signals=tuple(fields["signals"])
-            ),
-            resolution=ResolutionLayer(
-                root_cause=fields["root_cause"],
-                fix_strategy=fields["fix_strategy"],
-                patch_digest=fields["patch_digest"],
-                verification=fields["verification"],
-            ),
-        )
+        return _card(request, fields)
 
     @staticmethod
     def _feedback_fields(feedback: tuple[tuple[str, str], ...]) -> list[str]:
@@ -377,21 +380,7 @@ class ChatDistiller:
         missing = [f for f in CARD_FIELDS if f not in data]
         if missing:
             raise MalformedOutputError(f"provider output missing fields: {', '.join(missing)}")
-        triplet = request.instance.triplet
-        return ExperienceCard(
-            card_id=make_card_id(triplet.repo, triplet.issue.number, triplet.pr.number),
-            source=CardSource(triplet.repo, triplet.issue.number, triplet.pr.number),
-            index=IndexLayer(
-                problem_summary=str(data["problem_summary"]),
-                signals=tuple(str(s) for s in data["signals"]),
-            ),
-            resolution=ResolutionLayer(
-                root_cause=str(data["root_cause"]),
-                fix_strategy=str(data["fix_strategy"]),
-                patch_digest=str(data["patch_digest"]),
-                verification=str(data["verification"]),
-            ),
-        )
+        return _card(request, data)
 
     def distill(self, request: DistillerRequest) -> ExperienceCard:
         prompt = self._render(request)

@@ -14,18 +14,18 @@ yield identical stores and audit logs.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .audit import AuditLog
+from .audit import AuditLog, rejection
 from .cards import ExperienceCard
 from .cards import validate_schema  # noqa: F401  perfbench/tracing.py wraps pipeline.validate_schema
 from .config import PipelineConfig
 from .distillation import Distiller, purify_content
 from .errors import ConfigError
-from .ingestion import ItemError, RawTriplet, TripletOrError
-from .purification import Classifier, Rejection, RuleBasedCommentClassifier, purify
+from .ingestion import ItemError, TripletOrError
+from .purification import Classifier, PurifiedInstance, Rejection, RuleBasedCommentClassifier, purify
 from .quality import Evaluator, QcAccepted, refine_loop
 from .store import MemoryStore, dedup
 
@@ -40,21 +40,20 @@ class GovernCounts:
     indexed: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "read": self.read,
-            "purified": self.purified,
-            "distilled": self.distilled,
-            "qc_accepted": self.qc_accepted,
-            "deduped": self.deduped,
-            "indexed": self.indexed,
-        }
+        return asdict(self)
 
 
-@dataclass(frozen=True)
-class _ItemOutcome:
-    kind: str  # item-error | rejected | qc-rejected | accepted
-    audit: tuple[dict, ...]
-    card: ExperienceCard | None = None
+def _purified(
+    item: TripletOrError, cfg: PipelineConfig, classifier: Classifier
+) -> PurifiedInstance | dict:
+    """The purified instance, or the audit record that rejects the item."""
+    if isinstance(item, ItemError):
+        return rejection(None, None, None, f"item-error: {item}")
+    result = purify(item, cfg.purification, classifier)
+    if isinstance(result, Rejection):
+        reason = f"{result.reason}: {result.detail}"
+        return rejection(item.repo, item.issue.number, item.pr.number, reason)
+    return result
 
 
 def _process_item(
@@ -63,26 +62,12 @@ def _process_item(
     distiller: Distiller,
     evaluator: Evaluator,
     classifier: Classifier,
-) -> _ItemOutcome:
-    if isinstance(item, ItemError):
-        return _ItemOutcome(
-            kind="item-error",
-            audit=({"repo": None, "issue": None, "pr": None, "reason": f"item-error: {item}"},),
-        )
-    triplet: RawTriplet = item
-    result = purify(triplet, cfg.purification, classifier)
-    if isinstance(result, Rejection):
-        return _ItemOutcome(
-            kind="rejected",
-            audit=(
-                {
-                    "repo": triplet.repo,
-                    "issue": triplet.issue.number,
-                    "pr": triplet.pr.number,
-                    "reason": f"{result.reason}: {result.detail}",
-                },
-            ),
-        )
+) -> tuple[dict, ExperienceCard | None]:
+    """The item's audit record, and its card when QC accepted it."""
+    result = _purified(item, cfg, classifier)
+    if isinstance(result, dict):
+        return result, None
+    triplet = result.triplet
     condensed = purify_content(result)
     outcome = refine_loop(result, condensed, distiller, evaluator, cfg.qc)
     accepted = isinstance(outcome, QcAccepted)
@@ -94,9 +79,7 @@ def _process_item(
         "aggregate": outcome.report.aggregate,
         "accepted": accepted,
     }
-    if not accepted:
-        return _ItemOutcome(kind="qc-rejected", audit=(decision,))
-    return _ItemOutcome(kind="accepted", audit=(decision,), card=outcome.card)
+    return decision, outcome.card if accepted else None
 
 
 def run_govern(
@@ -109,7 +92,12 @@ def run_govern(
     audit: AuditLog | None = None,
     workers: int | None = None,
 ) -> GovernCounts:
-    """Run the full governance pipeline and persist the resulting store."""
+    """Run the full governance pipeline and persist the resulting store.
+
+    A serial run streams ``items``: it pulls each item only after writing
+    the previous one's audit record, and keeps only the accepted cards.
+    ``workers > 1`` still submits every item to the pool at once.
+    """
     classifier = classifier or RuleBasedCommentClassifier(cfg.purification)
     audit = audit or AuditLog(None)
     workers = cfg.workers if workers is None else workers
@@ -117,37 +105,31 @@ def run_govern(
         raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     counts = GovernCounts()
 
-    items = list(items)
-    counts.read = len(items)
-
-    def task(item: TripletOrError) -> _ItemOutcome:
+    def task(item: TripletOrError) -> tuple[dict, ExperienceCard | None]:
         return _process_item(item, cfg, distiller, evaluator, classifier)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(task, items))
-    else:
-        outcomes = [task(item) for item in items]
-
     accepted_cards: list[ExperienceCard] = []
-    for outcome in outcomes:
-        for record in outcome.audit:
+    # The pool starts no thread until work is submitted to it.
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        outcomes = pool.map(task, items) if workers > 1 else map(task, items)
+        for record, card in outcomes:
+            counts.read += 1
             audit.record(record)
-        if outcome.kind in ("accepted", "qc-rejected"):
-            counts.purified += 1
-            counts.distilled += 1
-        if outcome.kind == "accepted":
-            counts.qc_accepted += 1
-            assert outcome.card is not None
-            accepted_cards.append(outcome.card)
+            if "iteration" in record:  # a QC decision: purified and distilled
+                counts.purified += 1
+                counts.distilled += 1
+            if card is not None:
+                counts.qc_accepted += 1
+                accepted_cards.append(card)
 
     embedder = cfg.embedder.build()
     survivors = dedup(accepted_cards, embedder, threshold=cfg.dedup_threshold)
-    surviving_ids = {c.card_id for c in survivors}
+    # By identity, since dedup also groups cards that share a card id.
+    surviving = {id(c) for c in survivors}
     counts.deduped = len(accepted_cards) - len(survivors)
     for card in accepted_cards:
-        if card.card_id not in surviving_ids:
-            audit.rejection(card.source.repo, card.source.issue, card.source.pr, "duplicate")
+        if id(card) not in surviving:
+            audit.record(rejection(*card.source.as_tuple(), "duplicate"))
 
     # refine_loop accepts only cards with no schema violations, so every
     # survivor is indexed as it is.
@@ -172,14 +154,9 @@ def run_purify_only(
     read = accepted = 0
     for item in items:
         read += 1
-        if isinstance(item, ItemError):
-            audit.rejection(None, None, None, f"item-error: {item}")
-            continue
-        result = purify(item, cfg.purification, classifier)
-        if isinstance(result, Rejection):
-            audit.rejection(
-                item.repo, item.issue.number, item.pr.number, f"{result.reason}: {result.detail}"
-            )
+        result = _purified(item, cfg, classifier)
+        if isinstance(result, dict):
+            audit.record(result)
         else:
             accepted += 1
     return {"read": read, "accepted": accepted, "rejected": read - accepted}

@@ -3,8 +3,9 @@
 Production distillation and evaluation go through a generic chat interface
 configured by environment variables (MEMGOV_LLM_ENDPOINT, MEMGOV_LLM_API_KEY,
 MEMGOV_LLM_MODEL); no specific model is bundled. Prompt templates are plain
-text files with {{field}} placeholders, shipped under memgov/prompts and
-overridable per deployment.
+text files with {{field}} placeholders, shipped under memgov/prompts; a
+distiller or evaluator built with ``template=PromptTemplate(text)`` uses
+that text instead.
 """
 
 from __future__ import annotations
@@ -69,15 +70,9 @@ class PromptTemplate:
         self.fields = set(_PLACEHOLDER.findall(text))
 
     @classmethod
-    def load(cls, name: str, search_dir: str | Path | None = None) -> "PromptTemplate":
-        """Load a template by stage name, preferring ``search_dir`` over the
-        packaged defaults."""
-        filename = f"{name}.txt"
-        if search_dir is not None:
-            candidate = Path(search_dir) / filename
-            if candidate.is_file():
-                return cls(candidate.read_text())
-        ref = resources.files("memgov").joinpath("prompts").joinpath(filename)
+    def load(cls, name: str) -> "PromptTemplate":
+        """Load the packaged template for a stage name."""
+        ref = resources.files("memgov").joinpath("prompts").joinpath(f"{name}.txt")
         if not ref.is_file():
             raise ConfigError(f"no prompt template named {name!r}")
         return cls(ref.read_text())

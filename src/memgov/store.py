@@ -61,7 +61,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cards import ExperienceCard, IndexLayer, card_from_dict, card_to_dict
+from .cards import ExperienceCard, IndexLayer, card_from_dict, card_to_dict, normalized_text
 from .embedding import Embedder, default_embedder_for
 from .errors import (
     ChecksumError,
@@ -508,10 +508,6 @@ def _read_vectors(path: Path, count: int, dimension: int) -> tuple[np.ndarray, n
     return matrix, norms
 
 
-def _normalized_text(text: str) -> str:
-    return " ".join(text.casefold().split())
-
-
 def dedup(
     cards: list[ExperienceCard],
     embedder: Embedder,
@@ -519,10 +515,12 @@ def dedup(
 ) -> list[ExperienceCard]:
     """Collapse duplicates, keeping the lexicographically smallest source.
 
-    Stage 1 groups exact duplicates (hash of normalized index text); stage
-    2 groups near-duplicates (cosine >= threshold). Groups are merged
-    transitively, each keeps the card with the smallest (repo, issue, pr),
-    and survivors preserve input order -- which makes dedup idempotent.
+    Stage 1 groups exact duplicates (equal normalized index text) and cards
+    that share a card id, which a store can hold only once; stage 2 groups
+    near-duplicates (cosine >= threshold). Groups are merged transitively,
+    each keeps the card with the smallest (repo, issue, pr), the earliest
+    on a tie, and survivors preserve input order -- which makes dedup
+    idempotent.
     """
     n = len(cards)
     if n <= 1:
@@ -542,13 +540,10 @@ def dedup(
             parent[rb] = ra
 
     texts = [compose_index_text(c) for c in cards]
-    by_text: dict[str, int] = {}
-    for i, text in enumerate(texts):
-        key = _normalized_text(text)
-        if key in by_text:
-            union(by_text[key], i)
-        else:
-            by_text[key] = i
+    first: dict[tuple[str, str], int] = {}
+    for i, (card, text) in enumerate(zip(cards, texts)):
+        for key in (("text", normalized_text(text)), ("id", card.card_id)):
+            union(first.setdefault(key, i), i)
 
     matrix = np.stack([embedder.embed(t) for t in texts]).astype(np.float64)
     norms = np.linalg.norm(matrix, axis=1)

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 import requests
 
+from memgov.audit import AuditLog
 from memgov.cards import card_from_dict, validate_schema
 from memgov.cli import _providers, main
 from memgov.config import PipelineConfig, config_from_dict
@@ -104,6 +105,48 @@ def test_govern_parallel_matches_serial(tmp_path, capsys):
     assert run_cli(capsys, "--workers", "4", "govern", str(fixture), str(parallel))[0] == 0
     assert (serial / "cards.jsonl").read_bytes() == (parallel / "cards.jsonl").read_bytes()
     assert (serial / "audit.jsonl").read_bytes() == (parallel / "audit.jsonl").read_bytes()
+
+
+def test_govern_keeps_one_card_per_repeated_source(tmp_path, capsys):
+    first = make_triplet_dict(7)
+    clone = make_triplet_dict(7)
+    clone["issue"]["title"] = "renderer drops frames after a window resize"
+    fixture = tmp_path / "input.jsonl"
+    fixture.write_text(json.dumps(first) + "\n" + json.dumps(clone) + "\n")
+    out = tmp_path / "store"
+    code, stdout, _ = run_cli(capsys, "--json", "govern", str(fixture), str(out))
+    assert code == 0
+    counts = json.loads(stdout)
+    assert (counts["qc_accepted"], counts["deduped"], counts["indexed"]) == (2, 1, 1)
+    audit = [json.loads(l) for l in (out / "audit.jsonl").read_text().splitlines()]
+    assert [r for r in audit if "reason" in r] == [
+        {"repo": "acme/widgets", "issue": 7, "pr": 1007, "reason": "duplicate"}
+    ]
+    (card,) = (out / "cards.jsonl").read_text().splitlines()
+    assert json.loads(card)["index"]["problem_summary"] == first["issue"]["title"]
+
+
+def test_serial_govern_pulls_an_item_only_after_writing_the_last_record(tmp_path, small_fixture):
+    audit = AuditLog(tmp_path / "audit.jsonl")
+    written_before_third = []
+
+    def items():
+        for i, item in enumerate(load_fixture_triplets(small_fixture)):
+            if i == 2:
+                written_before_third.append(len(audit.entries))
+            yield item
+
+    with audit:
+        run_govern(
+            items(),
+            tmp_path / "store",
+            PipelineConfig(),
+            distiller=RuleBasedDistiller(),
+            evaluator=RuleBasedEvaluator(),
+            audit=audit,
+            workers=1,
+        )
+    assert written_before_third == [2]
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -297,6 +340,21 @@ def test_purify_dry_run_counts(tmp_path, capsys):
     assert counts["rejected"] == len(audit.read_text().splitlines())
 
 
+def test_purify_audit_matches_govern_rejections(tmp_path, capsys):
+    fixture = tmp_path / "input.jsonl"
+    write_mixed_fixture(fixture, count=40)
+    purify_audit = tmp_path / "purify-audit.jsonl"
+    assert run_cli(capsys, "purify", str(fixture), "--audit-log", str(purify_audit))[0] == 0
+    out = tmp_path / "store"
+    assert run_cli(capsys, "govern", str(fixture), str(out))[0] == 0
+    rejections = []
+    for line in (out / "audit.jsonl").read_text().splitlines():
+        if json.loads(line).get("reason", "duplicate") != "duplicate":
+            rejections.append(line)
+    assert any(line.startswith('{"repo": null') for line in rejections)
+    assert purify_audit.read_text().splitlines() == rejections
+
+
 # --- search / browse -------------------------------------------------------
 
 
@@ -443,51 +501,50 @@ def _free_port() -> int:
 
 def test_serve_health_and_clean_shutdown(built_store):
     port = _free_port()
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "memgov.cli", "serve", str(built_store), "--port", str(port)],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
-    )
-    try:
-        deadline = time.time() + 10
-        health = None
-        while time.time() < deadline:
-            try:
-                health = requests.get(f"http://127.0.0.1:{port}/v1/health", timeout=1).json()
-                break
-            except requests.RequestException:
-                time.sleep(0.1)
-        assert health is not None, "server never came up"
-        manifest = json.loads((built_store / "manifest.json").read_text())
-        assert health["card_count"] == manifest["count"]
-        proc.send_signal(signal.SIGINT)
-        assert proc.wait(timeout=10) == 0
-    finally:
-        if proc.poll() is None:
-            proc.kill()
+    ) as proc:
+        try:
+            deadline = time.time() + 10
+            health = None
+            while time.time() < deadline:
+                try:
+                    health = requests.get(f"http://127.0.0.1:{port}/v1/health", timeout=1).json()
+                    break
+                except requests.RequestException:
+                    time.sleep(0.1)
+            assert health is not None, "server never came up"
+            manifest = json.loads((built_store / "manifest.json").read_text())
+            assert health["card_count"] == manifest["count"]
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=10) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
 
 
 def test_serve_stops_on_sigterm_while_a_connection_stays_silent(built_store):
     port = _free_port()
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-u", "-m", "memgov.cli", "serve", str(built_store), "--port", str(port)],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
-    )
-    try:
-        assert proc.stdout.readline().startswith("serving ")
-        with socket.create_connection(("127.0.0.1", port), timeout=10):
-            # Answered after the silent connection was accepted and handed on.
-            assert requests.get(f"http://127.0.0.1:{port}/v1/health", timeout=10).ok
-            proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=REQUEST_TIMEOUT_SECONDS + 2) == 0
-        assert "shut down cleanly" in proc.stdout.read()
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-        proc.stdout.close()
+    ) as proc:
+        try:
+            assert proc.stdout.readline().startswith("serving ")
+            with socket.create_connection(("127.0.0.1", port), timeout=10):
+                # Answered after the silent connection was accepted and handed on.
+                assert requests.get(f"http://127.0.0.1:{port}/v1/health", timeout=10).ok
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=REQUEST_TIMEOUT_SECONDS + 2) == 0
+            assert "shut down cleanly" in proc.stdout.read()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
 
 
 def test_serve_occupied_port_is_infrastructure_error(built_store):

@@ -166,13 +166,6 @@ def test_schema_feedback_targets_the_field(instance):
     assert revised.resolution == base.resolution
 
 
-def test_feedback_ignoring_stub_reproduces_base(instance):
-    distiller = RuleBasedDistiller(react_to_feedback=False)
-    base = distiller.distill(request_for(instance))
-    revised = distiller.distill(request_for(instance, feedback=[("signal-quality", "weak")]))
-    assert revised == base
-
-
 class FakeProvider:
     def __init__(self, responses):
         self.responses = list(responses)

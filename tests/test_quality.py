@@ -167,9 +167,14 @@ def test_schema_violations_become_feedback(instance):
     assert validate_schema(outcome.card) == []
 
 
+class FeedbackIgnoringDistiller(RuleBasedDistiller):
+    def distill(self, request):
+        return super().distill(DistillerRequest(request.instance, request.condensed))
+
+
 def test_identical_reports_when_distiller_ignores_feedback(instance):
     evaluator = ScriptedEvaluator([0.3])
-    distiller = RuleBasedDistiller(react_to_feedback=False)
+    distiller = FeedbackIgnoringDistiller()
     outcome = refine_loop(instance, condensed_for(instance), distiller, evaluator, QcConfig())
     assert isinstance(outcome, QcRejected)
     assert evaluator.calls == 3

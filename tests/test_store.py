@@ -468,6 +468,19 @@ def test_dedup_transitive_chains_collapse_to_one():
     assert len(survivors) == 1 and survivors[0].source.issue == 1
 
 
+def test_dedup_keeps_one_card_per_card_id():
+    # A store holds each card id once, so two drafts from one source are
+    # grouped however unlike their texts are; the earlier one survives.
+    emb = HashingEmbedder()
+    first = make_card()
+    redraft = make_card(
+        summary="deadlock in the worker pool", signals=tuple(f"socket timeout {i}" for i in range(12))
+    )
+    assert first.card_id == redraft.card_id
+    assert dedup([first, redraft], emb) == [first]
+    assert dedup([redraft, first], emb) == [redraft]
+
+
 def test_dedup_is_idempotent_and_order_preserving():
     rng = random.Random(31)
     cards = distinct_cards(60)
