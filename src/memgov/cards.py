@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import DataError, EmptySignalError
+from .errors import DataError
 
 SIGNALS_MIN = 10
 SIGNALS_MAX = 18
@@ -92,18 +92,6 @@ class Violation:
 def normalized_text(text: str) -> str:
     """Case-fold, collapse each whitespace run to one space, strip."""
     return " ".join(text.casefold().split())
-
-
-def normalize_signal(raw: str) -> str:
-    """Canonicalize a signal phrase with normalized_text.
-
-    Raises EmptySignalError when nothing remains after normalization.
-    Idempotent: normalize(normalize(x)) == normalize(x).
-    """
-    out = normalized_text(raw)
-    if not out:
-        raise EmptySignalError(f"signal is empty after normalization: {raw!r}")
-    return out
 
 
 def parse_patch_digest(digest: str) -> tuple[list[str], list[str]]:
@@ -238,9 +226,18 @@ def card_from_dict(data: dict) -> ExperienceCard:
 
 
 def make_card_id(repo: str, issue: int, pr: int) -> str:
-    """Deterministic card id from the source triple.
+    """Deterministic card id from the source triple, distinct for distinct
+    triples.
 
     Re-running the pipeline over the same inputs must mint identical ids, so
-    ids are derived, not random.
+    ids are derived, not random. The id is the slug, then "-i{issue}-pr{pr}".
+    A slug with no "--" and no "-" next to a "/" is written with each "/" as
+    "--"; there every run of dashes is one "-" or two per "/", never three
+    long. Any other slug is written "---" and then the slug with "%", "-"
+    and "/" percent-escaped, which holds no dash. Reading the issue and PR
+    from the right recovers the written slug, and the written slug the slug.
     """
+    if "--" in repo or "-/" in repo or "/-" in repo:
+        escaped = repo.replace("%", "%25").replace("-", "%2D").replace("/", "%2F")
+        return f"---{escaped}-i{issue}-pr{pr}"
     return f"{repo.replace('/', '--')}-i{issue}-pr{pr}"

@@ -28,11 +28,10 @@ from .providers import ENV_LLM_ENDPOINT, HttpChatProvider
 from .purification import scan_text_anchors
 from .quality import RuleBasedEvaluator
 from .selection import select_top_m
-from .store import DEFAULT_TOP_K, MemoryStore
+from .store import DEFAULT_TOP_K, MemoryStore, read_manifest, search_hit_to_dict
 
-# .server (and with it http.server and uuid) is imported only by the
-# commands that serve or shape server bodies, so govern, purify, select and
-# stats start without it.
+# .server (and with it http.server and uuid) is imported only by serve and
+# demo-agent, so every other command starts without it.
 if TYPE_CHECKING:
     from .server import ToolService, TransferBrief
 
@@ -169,13 +168,19 @@ def cmd_govern(args) -> int:
             audit=audit,
             workers=args.workers,
         )
-    if args.json:
-        print(json.dumps(counts.as_dict()))
-    else:
-        for key, value in counts.as_dict().items():
-            print(f"{key}: {value}")
+    _print_fields(args, counts.as_dict())
+    if not args.json:
         print(f"audit log: {audit_path}")
     return EXIT_OK
+
+
+def _print_fields(args, fields: dict) -> None:
+    """One JSON object with --json, else one "key: value" line per field."""
+    if args.json:
+        print(json.dumps(fields))
+    else:
+        for key, value in fields.items():
+            print(f"{key}: {value}")
 
 
 def _read_stats_file(path: Path) -> list[RepoStats]:
@@ -223,20 +228,12 @@ def cmd_purify(args) -> int:
         raise DataError(f"input file not found: {input_path}")
     with AuditLog(args.audit_log) as audit:
         counts = run_purify_only(load_fixture_triplets(input_path), cfg, audit=audit)
-    if args.json:
-        print(json.dumps(counts))
-    else:
-        for key, value in counts.items():
-            print(f"{key}: {value}")
+    _print_fields(args, counts)
     return EXIT_OK
 
 
 def cmd_search(args) -> int:
-    from .server import SearchRequest, ToolService, search_hit_to_dict
-
-    store = MemoryStore.load(args.index_dir)
-    service = ToolService(store)
-    hits = service.handle_search(SearchRequest(query=args.query, top_k=args.top_k))
+    hits = MemoryStore.load(args.index_dir).search(args.query, k=args.top_k)
     if args.json:
         print(json.dumps({"hits": [search_hit_to_dict(h) for h in hits]}))
     else:
@@ -249,11 +246,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_browse(args) -> int:
-    from .server import BrowseRequest, ToolService
-
-    store = MemoryStore.load(args.index_dir)
-    service = ToolService(store)
-    card = service.handle_browse(BrowseRequest(card_id=args.card_id))
+    card = MemoryStore.load(args.index_dir).browse(args.card_id)
     if args.json:
         print(json.dumps(card_to_dict(card)))
     else:
@@ -270,18 +263,23 @@ def cmd_browse(args) -> int:
     return EXIT_OK
 
 
-def cmd_serve(args) -> int:
-    from .server import ToolService, make_http_server
+def _load_service(index_dir: str) -> ToolService:
+    from .server import ToolService
 
-    store = MemoryStore.load(args.index_dir)
-    service = ToolService(store)
+    return ToolService(MemoryStore.load(index_dir))
+
+
+def cmd_serve(args) -> int:
+    from .server import make_http_server
+
+    service = _load_service(args.index_dir)
     try:
         server = make_http_server(service, host=args.host, port=args.port)
     except OSError as exc:
         print(f"cannot bind {args.host}:{args.port}: {exc}", file=sys.stderr)
         return EXIT_INFRA
     host, port = server.server_address[:2]
-    print(f"serving {len(store)} cards on http://{host}:{port}")
+    print(f"serving {len(service.store)} cards on http://{host}:{port}")
 
     def stop(_signum, _frame):
         # shutdown() must come from another thread than serve_forever's.
@@ -305,22 +303,15 @@ def cmd_serve(args) -> int:
 def _demo_query_parts(issue_text: str) -> tuple[list[str], list[str]]:
     """Initial query tokens (title + first anchor) and the pool of further
     anchor tokens for refinement rounds."""
-    title = issue_text.split("\n")[0]
     excerpts = scan_text_anchors(issue_text)
-    tokens: list[str] = []
-    for token in _TOKEN.findall(title.casefold()):
-        if token not in tokens:
-            tokens.append(token)
-    if excerpts:
-        for token in _TOKEN.findall(excerpts[0].casefold()):
-            if token not in tokens:
-                tokens.append(token)
-    pool: list[str] = []
-    for excerpt in excerpts[1:]:
-        for token in _TOKEN.findall(excerpt.casefold()):
-            if token not in tokens and token not in pool:
-                pool.append(token)
+    tokens = _unique_tokens([issue_text.split("\n")[0], *excerpts[:1]])
+    pool = [token for token in _unique_tokens(excerpts[1:]) if token not in tokens]
     return tokens, pool
+
+
+def _unique_tokens(texts: list[str]) -> list[str]:
+    """The texts' case-folded tokens, each once, in first-seen order."""
+    return list(dict.fromkeys(t for text in texts for t in _TOKEN.findall(text.casefold())))
 
 
 def run_demo_agent(
@@ -355,9 +346,7 @@ def run_demo_agent(
             }
         )
         best_hits = hits
-        if best >= DEMO_REFINE_THRESHOLD:
-            break
-        if not pool:
+        if best >= DEMO_REFINE_THRESHOLD or not pool:
             break
         tokens.append(pool.pop(0))  # next unmatched anchor token
     if not best_hits or best_hits[0].similarity < DEMO_REFINE_THRESHOLD:
@@ -372,12 +361,8 @@ def cmd_demo_agent(args) -> int:
     issue_path = Path(args.issue_file)
     if not issue_path.is_file():
         raise DataError(f"issue file not found: {issue_path}")
-    from .server import ToolService
-
-    store = MemoryStore.load(args.index_dir)
-    service = ToolService(store)
     trace, brief = run_demo_agent(
-        service, issue_path.read_text(), rounds=args.rounds, top_k=args.top_k
+        _load_service(args.index_dir), issue_path.read_text(), rounds=args.rounds, top_k=args.top_k
     )
     if args.json:
         print(
@@ -405,15 +390,7 @@ def cmd_demo_agent(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    manifest_path = Path(args.index_dir) / "manifest.json"
-    if not manifest_path.is_file():
-        raise DataError(f"no store at {args.index_dir} (missing manifest.json)")
-    manifest = json.loads(manifest_path.read_text())
-    if args.json:
-        print(json.dumps(manifest))
-    else:
-        for key, value in manifest.items():
-            print(f"{key}: {value}")
+    _print_fields(args, read_manifest(Path(args.index_dir)))
     return EXIT_OK
 
 

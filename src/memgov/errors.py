@@ -44,10 +44,6 @@ class MalformedOutputError(ProviderError):
         super().__init__(message, retryable=False)
 
 
-class EmptySignalError(MemgovError):
-    """Signal text that normalizes to the empty string."""
-
-
 class StoreError(MemgovError):
     """Base class for memory-store faults."""
 

@@ -14,10 +14,11 @@ Endpoints (JSON bodies):
 
 Errors use the uniform envelope {"error": {"code", "message"}}: 4xx for
 client faults, and 500 only for an unexpected fault inside an endpoint.
-This covers the requests refused before routing: a method other than GET
-or POST answers 405 method_not_allowed with "Allow: GET, POST" (headers
-only for HEAD), a malformed request line 400 bad_request, and a request
-line over 64 KiB 414 request_uri_too_long. A body whose Content-Length
+One table, _FAULTS, maps what any route raises to its status and code.
+The envelope also covers the requests refused before routing: a method
+other than GET or POST answers 405 method_not_allowed with "Allow: GET,
+POST" (headers only for HEAD), a malformed request line 400 bad_request,
+and a request line over 64 KiB 414 request_uri_too_long. A body whose Content-Length
 exceeds 1 MiB answers 413 payload_too_large without being parsed. The
 server then closes its side and reads and drops what the client still
 sends, at most 64 MiB for at most 2 s, so that a client that wrote the
@@ -58,13 +59,13 @@ import threading
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 from .cards import ExperienceCard, card_to_dict
 from .errors import DataError, MemgovError, UnembeddableTextError, UnknownCardError
-from .store import DEFAULT_TOP_K, MemoryStore, SearchHit
+from .store import DEFAULT_TOP_K, MemoryStore, SearchHit, search_hit_to_dict
 
 # Largest top_k an HTTP search may ask for: each hit's card is decoded and
 # kept, so an uncapped k lets one request decode the whole store.
@@ -91,19 +92,11 @@ class SearchRequest:
     top_k: int = DEFAULT_TOP_K
     session_id: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.top_k < 1:
-            raise DataError(f"top_k must be >= 1, got {self.top_k}")
-
 
 @dataclass(frozen=True)
 class BrowseRequest:
     card_id: str
     session_id: str | None = None
-
-    def __post_init__(self) -> None:
-        if not self.card_id:
-            raise DataError("card_id must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -121,18 +114,7 @@ class SessionLog:
     browsed: list[str] = field(default_factory=list)  # card ids, browse order
 
     def to_dict(self) -> dict:
-        return {
-            "session_id": self.session_id,
-            "rounds": [
-                {
-                    "kind": r.kind,
-                    "request": r.request,
-                    "result": r.result,
-                    "timestamp": r.timestamp,
-                }
-                for r in self.rounds
-            ],
-        }
+        return {"session_id": self.session_id, "rounds": [asdict(r) for r in self.rounds]}
 
 
 @dataclass(frozen=True)
@@ -149,12 +131,7 @@ class TransferBrief:
     source_card_ids: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "root_cause_pattern": self.root_cause_pattern,
-            "modification_logic": self.modification_logic,
-            "validation_strategy": self.validation_strategy,
-            "source_card_ids": list(self.source_card_ids),
-        }
+        return asdict(self)
 
 
 class SessionRegistry:
@@ -174,28 +151,28 @@ class SessionRegistry:
             self._sessions[session_id] = SessionLog(session_id=session_id)
         return session_id
 
+    def _log(self, session_id: str) -> SessionLog:
+        """The session's log, or UnknownSessionError; call with the lock held."""
+        log = self._sessions.get(session_id)
+        if log is None:
+            raise UnknownSessionError(f"no session with id {session_id!r}")
+        return log
+
     def get(self, session_id: str) -> SessionLog:
         with self._lock:
-            log = self._sessions.get(session_id)
-            if log is None:
-                raise UnknownSessionError(f"no session with id {session_id!r}")
-            return log
+            return self._log(session_id)
 
-    def append(self, session_id: str, kind: str, request: str, result: str) -> None:
+    def append(
+        self, session_id: str, kind: str, request: str, result: str, browsed: str | None = None
+    ) -> None:
+        """Log one round; a browse also passes its card id, which joins the
+        session's browse order unless already in it."""
         with self._lock:
-            log = self._sessions.get(session_id)
-            if log is None:
-                raise UnknownSessionError(f"no session with id {session_id!r}")
+            log = self._log(session_id)
             self._last_ts = max(self._last_ts, time.time())
             log.rounds.append(SessionRound(kind, request, result, self._last_ts))
-
-    def record_browse(self, session_id: str, card_id: str) -> None:
-        with self._lock:
-            log = self._sessions.get(session_id)
-            if log is None:
-                raise UnknownSessionError(f"no session with id {session_id!r}")
-            if card_id not in log.browsed:
-                log.browsed.append(card_id)
+            if browsed is not None and browsed not in log.browsed:
+                log.browsed.append(browsed)
 
 
 class UnknownSessionError(MemgovError):
@@ -204,18 +181,6 @@ class UnknownSessionError(MemgovError):
 
 class CardNotBrowsedError(MemgovError):
     pass
-
-
-def search_hit_to_dict(hit: SearchHit) -> dict:
-    """Preview-only wire form; resolution fields are structurally absent."""
-    return {
-        "card_id": hit.card_id,
-        "similarity": hit.similarity,
-        "preview": {
-            "problem_summary": hit.preview.problem_summary,
-            "signals": list(hit.preview.signals),
-        },
-    }
 
 
 class ToolService:
@@ -240,9 +205,8 @@ class ToolService:
         card = self.store.browse(req.card_id)
         if req.session_id is not None:
             self.sessions.append(
-                req.session_id, kind="browse", request=f"card_id={req.card_id}", result="ok"
+                req.session_id, "browse", f"card_id={req.card_id}", "ok", browsed=req.card_id
             )
-            self.sessions.record_browse(req.session_id, req.card_id)
         return card
 
     def assemble_transfer_brief(self, session_id: str, card_ids: list[str]) -> TransferBrief:
@@ -278,6 +242,16 @@ class _ApiError(Exception):
         self.code = code
         self.message = message
 
+
+# The answer to each fault a route may raise, first match wins; any other
+# exception answers 500 internal.
+_FAULTS: dict[type[Exception], tuple[int, str]] = {
+    UnembeddableTextError: (400, "unembeddable_query"),
+    UnknownCardError: (404, "not_found"),
+    UnknownSessionError: (404, "not_found"),
+    CardNotBrowsedError: (409, "card_not_browsed"),
+    DataError: (400, "invalid_request"),
+}
 
 _SESSION_PATH = re.compile(r"^/v1/session/([0-9a-f]+)$")
 
@@ -344,7 +318,7 @@ class _Handler(BaseHTTPRequestHandler):
         except ValueError:
             length = -1
         if length < 0:
-            raise _ApiError(400, "invalid_request", f"bad Content-Length {header!r}")
+            raise DataError(f"bad Content-Length {header!r}")
         if length > MAX_BODY_BYTES:  # answered by _fail with a lingering close
             raise _ApiError(
                 413, "payload_too_large", f"body of {length} bytes exceeds {MAX_BODY_BYTES}"
@@ -362,67 +336,56 @@ class _Handler(BaseHTTPRequestHandler):
         except RecursionError:  # e.g. a megabyte of "["
             raise _ApiError(400, "invalid_json", "request body nests too deeply")
         if not isinstance(data, dict):
-            raise _ApiError(400, "invalid_request", "request body must be a JSON object")
+            raise DataError("request body must be a JSON object")
         return data
 
-    def do_GET(self) -> None:
+    def _answer(self, route) -> None:
+        """Send the body route() returns, or the error envelope for what it raised."""
         try:
-            if self.path == "/v1/health":
-                self._send(200, self.service.health())
-                return
-            m = _SESSION_PATH.match(self.path)
-            if m:
-                log = self.service.sessions.get(m.group(1))
-                self._send(200, log.to_dict())
-                return
-            raise _ApiError(404, "not_found", f"unknown path {self.path}")
+            self._send(200, route())
         except _ApiError as err:
             self._fail(err)
-        except UnknownSessionError as exc:
-            self._fail(_ApiError(404, "not_found", str(exc)))
-        except Exception as exc:  # pragma: no cover - defensive
-            self._fail(_ApiError(500, "internal", str(exc)))
+        except Exception as exc:
+            status, code = next(
+                (answer for fault, answer in _FAULTS.items() if isinstance(exc, fault)),
+                (500, "internal"),
+            )
+            self._fail(_ApiError(status, code, str(exc)))
+
+    def do_GET(self) -> None:
+        self._answer(self._get)
 
     def do_POST(self) -> None:
-        try:
-            body = self._read_json()
-            if self.path == "/v1/search":
-                self._send(200, self._search(body))
-            elif self.path == "/v1/browse":
-                self._send(200, self._browse(body))
-            elif self.path == "/v1/session":
-                self._send(200, {"session_id": self.service.sessions.create()})
-            elif self.path == "/v1/transfer_brief":
-                self._send(200, self._brief(body))
-            else:
-                raise _ApiError(404, "not_found", f"unknown path {self.path}")
-        except _ApiError as err:
-            self._fail(err)
-        except UnembeddableTextError as exc:
-            self._fail(_ApiError(400, "unembeddable_query", str(exc)))
-        except UnknownCardError as exc:
-            self._fail(_ApiError(404, "not_found", str(exc)))
-        except UnknownSessionError as exc:
-            self._fail(_ApiError(404, "not_found", str(exc)))
-        except CardNotBrowsedError as exc:
-            self._fail(_ApiError(409, "card_not_browsed", str(exc)))
-        except DataError as exc:
-            self._fail(_ApiError(400, "invalid_request", str(exc)))
-        except Exception as exc:  # pragma: no cover - defensive
-            self._fail(_ApiError(500, "internal", str(exc)))
+        self._answer(self._post)
+
+    def _get(self) -> dict:
+        if self.path == "/v1/health":
+            return self.service.health()
+        m = _SESSION_PATH.match(self.path)
+        if m:
+            return self.service.sessions.get(m.group(1)).to_dict()
+        raise _ApiError(404, "not_found", f"unknown path {self.path}")
+
+    def _post(self) -> dict:
+        body = self._read_json()
+        if self.path == "/v1/search":
+            return self._search(body)
+        if self.path == "/v1/browse":
+            return self._browse(body)
+        if self.path == "/v1/session":
+            return {"session_id": self.service.sessions.create()}
+        if self.path == "/v1/transfer_brief":
+            return self._brief(body)
+        raise _ApiError(404, "not_found", f"unknown path {self.path}")
 
     def _search(self, body: dict) -> dict:
         if "query" not in body or not isinstance(body["query"], str):
-            raise _ApiError(400, "invalid_request", "search needs a string 'query'")
+            raise DataError("search needs a string 'query'")
         if len(body["query"]) > MAX_QUERY_CHARS:
-            raise _ApiError(
-                400, "invalid_request", f"query longer than {MAX_QUERY_CHARS} characters"
-            )
+            raise DataError(f"query longer than {MAX_QUERY_CHARS} characters")
         top_k = body.get("top_k", DEFAULT_TOP_K)
         if not isinstance(top_k, int) or isinstance(top_k, bool) or not 1 <= top_k <= MAX_TOP_K:
-            raise _ApiError(
-                400, "invalid_request", f"top_k must be an integer in [1, {MAX_TOP_K}], got {top_k!r}"
-            )
+            raise DataError(f"top_k must be an integer in [1, {MAX_TOP_K}], got {top_k!r}")
         req = SearchRequest(query=body["query"], top_k=top_k, session_id=_session_id(body))
         hits = self.service.handle_search(req)
         return {"hits": [search_hit_to_dict(h) for h in hits]}
@@ -430,7 +393,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _browse(self, body: dict) -> dict:
         card_id = body.get("card_id")
         if not card_id or not isinstance(card_id, str):
-            raise _ApiError(400, "invalid_request", "browse needs a non-empty 'card_id'")
+            raise DataError("browse needs a non-empty 'card_id'")
         req = BrowseRequest(card_id=card_id, session_id=_session_id(body))
         return card_to_dict(self.service.handle_browse(req))
 
@@ -438,17 +401,16 @@ class _Handler(BaseHTTPRequestHandler):
         session_id = body.get("session_id")
         card_ids = body.get("card_ids")
         if not session_id or not isinstance(session_id, str):
-            raise _ApiError(400, "invalid_request", "transfer_brief needs a 'session_id'")
+            raise DataError("transfer_brief needs a 'session_id'")
         if not isinstance(card_ids, list) or not all(isinstance(c, str) for c in card_ids):
-            raise _ApiError(400, "invalid_request", "transfer_brief needs a list of 'card_ids'")
-        brief = self.service.assemble_transfer_brief(session_id, card_ids)
-        return brief.to_dict()
+            raise DataError("transfer_brief needs a list of 'card_ids'")
+        return self.service.assemble_transfer_brief(session_id, card_ids).to_dict()
 
 
 def _session_id(body: dict) -> str | None:
     session_id = body.get("session_id")
     if session_id is not None and not isinstance(session_id, str):
-        raise _ApiError(400, "invalid_request", f"session_id must be a string, got {session_id!r}")
+        raise DataError(f"session_id must be a string, got {session_id!r}")
     return session_id
 
 

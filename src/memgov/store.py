@@ -98,6 +98,18 @@ class SearchHit:
     preview: IndexLayer
 
 
+def search_hit_to_dict(hit: SearchHit) -> dict:
+    """Preview-only wire form; resolution fields are structurally absent."""
+    return {
+        "card_id": hit.card_id,
+        "similarity": hit.similarity,
+        "preview": {
+            "problem_summary": hit.preview.problem_summary,
+            "signals": list(hit.preview.signals),
+        },
+    }
+
+
 def compose_index_text(card: ExperienceCard) -> str:
     """The exact text that gets embedded: summary plus signals, resolution
     layer excluded by construction."""
@@ -399,19 +411,9 @@ class MemoryStore:
         manifest so different embedders are never mixed.
         """
         directory = Path(directory)
-        manifest_path = directory / "manifest.json"
-        if not manifest_path.is_file():
-            raise StoreFormatError(f"no store at {directory} (missing manifest.json)")
-        manifest = json.loads(manifest_path.read_text())
-        version = manifest.get("format_version")
-        if version == 1:
-            raise StoreFormatError(
-                "format_version 1 is no longer read; re-run govern to rebuild the store"
-            )
-        if version != FORMAT_VERSION:
-            raise StoreFormatError(f"unsupported format_version {version!r}")
-        dimension = int(manifest["dimension"])
-        count = int(manifest["count"])
+        manifest = read_manifest(directory)
+        dimension = manifest["dimension"]
+        count = manifest["count"]
         embedder_id = manifest["embedder_id"]
 
         if embedder is None:
@@ -438,8 +440,6 @@ class MemoryStore:
         if not cards_path.is_file():
             raise StoreFormatError(f"store at {directory} is missing cards.jsonl")
         blob = cards_path.read_bytes()
-        if "cards_blake2b" not in manifest:
-            raise StoreFormatError("manifest.json lacks the cards_blake2b digest")
         if _blake2b_8(blob).hexdigest() != manifest["cards_blake2b"]:
             raise ChecksumError("cards.jsonl failed checksum verification")
         lines = blob.split(b"\n")
@@ -469,6 +469,35 @@ class MemoryStore:
             repeated = next(i for row, i in enumerate(ids) if store._positions[i] != row)
             raise StoreFormatError(f"cards.jsonl repeats card id {repeated!r}")
         return store
+
+
+def read_manifest(directory: Path) -> dict:
+    """The store's manifest.json, refused with StoreFormatError unless it is
+    a format 2 object whose dimension and count are integers and whose
+    embedder_id and cards_blake2b are strings."""
+    path = directory / "manifest.json"
+    if not path.is_file():
+        raise StoreFormatError(f"no store at {directory} (missing manifest.json)")
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSON and UTF-8 faults
+        raise StoreFormatError(f"manifest.json is not JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise StoreFormatError("manifest.json is not a JSON object")
+    version = manifest.get("format_version")
+    if version == 1:
+        raise StoreFormatError(
+            "format_version 1 is no longer read; re-run govern to rebuild the store"
+        )
+    if version != FORMAT_VERSION:
+        raise StoreFormatError(f"unsupported format_version {version!r}")
+    for key, kind in (
+        ("dimension", int), ("count", int), ("embedder_id", str), ("cards_blake2b", str)
+    ):
+        value = manifest.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise StoreFormatError(f"manifest.json {key} must be {kind.__name__}, got {value!r}")
+    return manifest
 
 
 def _read_vectors(path: Path, count: int, dimension: int) -> tuple[np.ndarray, np.ndarray]:

@@ -10,11 +10,11 @@ from memgov.cards import (
     card_from_dict,
     card_to_dict,
     make_card_id,
-    normalize_signal,
+    normalized_text,
     parse_patch_digest,
     validate_schema,
 )
-from memgov.errors import DataError, EmptySignalError
+from memgov.errors import DataError
 
 from conftest import any_cards, make_card
 
@@ -123,20 +123,19 @@ def test_card_from_dict_names_missing_field():
     assert "resolution" in str(err.value)
 
 
-def test_normalize_signal_examples():
-    assert normalize_signal("  Null  Pointer ") == "null pointer"
-    assert normalize_signal("NPE") == "npe"
-    with pytest.raises(EmptySignalError):
-        normalize_signal("   ")
+def test_normalized_text_examples():
+    assert normalized_text("  Null  Pointer ") == "null pointer"
+    assert normalized_text("NPE") == "npe"
+    assert normalized_text("   ") == ""
 
 
-def test_normalize_signal_idempotent():
+def test_normalized_text_idempotent():
     rng = random.Random(3)
     corpus = ["Null Pointer", "  A\t\tB  ", "MiXeD CaSe", "x" * 40, "a  b   c"]
     for _ in range(100):
         raw = rng.choice(corpus)
-        once = normalize_signal(raw)
-        assert normalize_signal(once) == once
+        once = normalized_text(raw)
+        assert normalized_text(once) == once
 
 
 def test_make_card_id_is_deterministic_and_distinct():
@@ -144,6 +143,27 @@ def test_make_card_id_is_deterministic_and_distinct():
     assert a == make_card_id("acme/widgets", 12, 34)
     assert a != make_card_id("acme/widgets", 12, 35)
     assert "/" not in a
+
+
+@pytest.mark.parametrize(
+    "repo, readable",
+    [
+        ("acme/widgets", "acme--widgets"),
+        ("a-b/c-d", "a-b--c-d"),
+        ("x//y", "x----y"),
+        ("-a/b-", "-a--b-"),
+    ],
+)
+def test_make_card_id_keeps_the_readable_form(repo, readable):
+    assert make_card_id(repo, 5, 6) == f"{readable}-i5-pr6"
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [("acme/widgets", "acme--widgets"), ("a-/b", "a/-b"), ("a/b", "a--b"), ("a---b", "a-/b")],
+)
+def test_make_card_id_tells_colliding_slugs_apart(first, second):
+    assert make_card_id(first, 1, 2) != make_card_id(second, 1, 2)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -6,6 +6,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from memgov.errors import ConfigError
 from memgov.ingestion import load_fixture_triplets
 from memgov.pipeline import run_govern
 from memgov.quality import RuleBasedEvaluator
-from memgov.server import REQUEST_TIMEOUT_SECONDS
+from memgov.server import REQUEST_TIMEOUT_SECONDS, ToolService, make_http_server
 from memgov.store import MemoryStore
 from memgov.embedding import HashingEmbedder
 
@@ -124,6 +125,23 @@ def test_govern_keeps_one_card_per_repeated_source(tmp_path, capsys):
     ]
     (card,) = (out / "cards.jsonl").read_text().splitlines()
     assert json.loads(card)["index"]["problem_summary"] == first["issue"]["title"]
+
+
+@pytest.mark.parametrize("slugs", [("acme/widgets", "acme--widgets"), ("a-/b", "a/-b")])
+def test_govern_keeps_distinct_sources_whose_slugs_differ_only_in_dashes(tmp_path, capsys, slugs):
+    first = make_triplet_dict(7)
+    other = make_triplet_dict(7, duplicate_of=12)  # same issue and PR, unrelated texts
+    first["repo"], other["repo"] = slugs
+    fixture = tmp_path / "input.jsonl"
+    fixture.write_text(json.dumps(first) + "\n" + json.dumps(other) + "\n")
+    out = tmp_path / "store"
+    code, stdout, _ = run_cli(capsys, "--json", "govern", str(fixture), str(out))
+    assert code == 0
+    counts = json.loads(stdout)
+    assert (counts["qc_accepted"], counts["deduped"], counts["indexed"]) == (2, 0, 2)
+    cards = [json.loads(l) for l in (out / "cards.jsonl").read_text().splitlines()]
+    assert sorted(c["source"]["repo"] for c in cards) == sorted(slugs)
+    assert len({c["card_id"] for c in cards}) == 2
 
 
 def test_serial_govern_pulls_an_item_only_after_writing_the_last_record(tmp_path, small_fixture):
@@ -403,6 +421,59 @@ def test_stats_reports_manifest(built_store, capsys):
     assert code == 0
     manifest = json.loads(stdout)
     assert manifest["dimension"] == 256 and manifest["count"] >= 1
+
+
+@pytest.mark.parametrize("command", ["search", "stats"])
+@pytest.mark.parametrize(
+    "manifest",
+    [b"{not json", b"[1,2]", {"dimension": None}, {"count": "abc"}, {"embedder_id": 5}, b"\xff\xfe"],
+    ids=["not-json", "array", "no-dimension", "count-string", "embedder-id-int", "not-utf8"],
+)
+def test_malformed_manifest_is_data_error(built_store, capsys, command, manifest):
+    path = built_store / "manifest.json"
+    if isinstance(manifest, dict):  # edit the real manifest; None drops the key
+        fields = {**json.loads(path.read_text()), **manifest}
+        manifest = json.dumps({k: v for k, v in fields.items() if v is not None}).encode()
+    path.write_bytes(manifest)
+    args = [str(built_store), "pipeline failure"] if command == "search" else [str(built_store)]
+    code, stdout, err = run_cli(capsys, command, *args)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: manifest.json") and err.count("\n") == 1
+
+
+@pytest.fixture
+def planted_store(tmp_path) -> Path:
+    store = MemoryStore(HashingEmbedder())
+    for card_dict, _ in write_planted_store_pairs(15):
+        store.index_card(card_from_dict(card_dict))
+    store.save(tmp_path / "store")
+    return tmp_path / "store"
+
+
+def test_json_search_and_browse_print_the_http_bodies(planted_store, capsys):
+    server = make_http_server(ToolService(MemoryStore.load(planted_store)))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    base = f"http://127.0.0.1:{server.server_address[1]}"
+    try:
+        query = "deadlock in parser"
+        for k in (1, 10):
+            code, stdout, _ = run_cli(
+                capsys, "--json", "search", str(planted_store), query, "--top-k", str(k)
+            )
+            assert code == 0
+            body = requests.post(f"{base}/v1/search", json={"query": query, "top_k": k}).json()
+            assert json.loads(stdout) == body and len(body["hits"]) == k
+        card_id = body["hits"][-1]["card_id"]
+        code, stdout, _ = run_cli(capsys, "--json", "browse", str(planted_store), card_id)
+        assert code == 0
+        assert json.loads(stdout) == requests.post(
+            f"{base}/v1/browse", json={"card_id": card_id}
+        ).json()
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 # --- usage errors -----------------------------------------------------------

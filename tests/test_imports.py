@@ -10,6 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from memgov.embedding import HashingEmbedder
+from memgov.store import MemoryStore
+
+from conftest import make_card
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -38,3 +43,19 @@ def loaded_after(code: str, modules: list[str]) -> list[str]:
 def test_import_leaves_unused_modules_unloaded(code, absent):
     assert loaded_after(code, absent) == []
 
+
+
+@pytest.mark.parametrize("command", ["search", "browse"])
+def test_search_and_browse_run_without_the_server(tmp_path, command):
+    card = make_card(summary="worker pool deadlock on shutdown")
+    store = MemoryStore(HashingEmbedder())
+    store.index_card(card)
+    store.save(tmp_path)
+    argv = [command, str(tmp_path), "worker pool deadlock" if command == "search" else card.card_id]
+    code = (
+        "import contextlib, io\n"
+        "from memgov import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0"
+    )
+    assert loaded_after(code, ["memgov.server", "http.server", "requests"]) == []

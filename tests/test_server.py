@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from memgov import server as server_module
 from memgov.embedding import HashingEmbedder
+from memgov.errors import DataError, UnknownCardError
 from memgov.server import (
     MAX_BODY_BYTES,
     MAX_QUERY_CHARS,
@@ -457,10 +458,11 @@ def test_session_registry_drops_the_oldest_beyond_its_cap(live):
 
 
 def test_search_request_validation():
-    with pytest.raises(Exception):
-        SearchRequest(query="x", top_k=0)
-    with pytest.raises(Exception):
-        BrowseRequest(card_id="")
+    service, _ = build_service()
+    with pytest.raises(DataError):
+        service.handle_search(SearchRequest(query="x", top_k=0))
+    with pytest.raises(UnknownCardError):
+        service.handle_browse(BrowseRequest(card_id=""))
 
 
 # --- the worker pool ----------------------------------------------------------
