@@ -30,8 +30,8 @@ from .quality import RuleBasedEvaluator
 from .selection import select_top_m
 from .store import DEFAULT_TOP_K, MemoryStore, read_manifest, search_hit_to_dict
 
-# .server (and with it http.server and uuid) is imported only by serve and
-# demo-agent, so every other command starts without it.
+# .server (and with it selectors, email.utils and uuid) is imported only by
+# serve and demo-agent, so every other command starts without it.
 if TYPE_CHECKING:
     from .server import ToolService, TransferBrief
 
@@ -282,10 +282,7 @@ def cmd_serve(args) -> int:
     print(f"serving {len(service.store)} cards on http://{host}:{port}")
 
     def stop(_signum, _frame):
-        # shutdown() must come from another thread than serve_forever's.
-        import threading
-
-        threading.Thread(target=server.shutdown).start()
+        server.shutdown()  # returns at once; serve_forever then returns
 
     try:
         signal.signal(signal.SIGINT, stop)
@@ -361,8 +358,12 @@ def cmd_demo_agent(args) -> int:
     issue_path = Path(args.issue_file)
     if not issue_path.is_file():
         raise DataError(f"issue file not found: {issue_path}")
+    try:
+        issue_text = issue_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"issue file is not UTF-8: {issue_path}: {exc}")
     trace, brief = run_demo_agent(
-        _load_service(args.index_dir), issue_path.read_text(), rounds=args.rounds, top_k=args.top_k
+        _load_service(args.index_dir), issue_text, rounds=args.rounds, top_k=args.top_k
     )
     if args.json:
         print(

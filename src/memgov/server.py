@@ -17,15 +17,15 @@ client faults, and 500 only for an unexpected fault inside an endpoint.
 One table, _FAULTS, maps what any route raises to its status and code.
 The envelope also covers the requests refused before routing: a method
 other than GET or POST answers 405 method_not_allowed with "Allow: GET,
-POST" (headers only for HEAD), a malformed request line 400 bad_request,
-and a request line over 64 KiB 414 request_uri_too_long. A body whose Content-Length
-exceeds 1 MiB answers 413 payload_too_large without being parsed. The
-server then closes its side and reads and drops what the client still
-sends, at most 64 MiB for at most 2 s, so that a client that wrote the
-whole body before reading still gets the answer rather than a reset. A
-body nested too deeply to parse answers 400 invalid_json. Search
-responses never contain resolution-layer content; browsing is the only
-way to read it.
+POST" (headers only for HEAD), a request line that is not "METHOD SP
+target SP HTTP/1.x" 400 bad_request, a request line over 64 KiB 414
+request_uri_too_long, and a request head (request line and headers) over
+64 KiB or with more than 100 header lines 431
+request_header_fields_too_large. A body whose Content-Length exceeds 1 MiB
+answers 413 payload_too_large without being read. A body that is not JSON
+in UTF-8, or nests too deeply to parse, answers 400 invalid_json. Search
+responses never contain resolution-layer content; browsing is the only way
+to read it.
 
 Sessions are server-side conveniences for audit and brief assembly;
 search and browse remain fully usable without one. At most 10,000 sessions
@@ -34,34 +34,57 @@ store snapshot is immutable while serving, so concurrent reads need no
 locking; session logs are the only mutable state and are synchronized
 internally.
 
-Serving model: a fixed pool of at most MAX_WORKERS reused threads answers
-the requests, one per connection (HTTP/1.0), so at most MAX_WORKERS run at
-once. Further connections wait, unanswered, until a worker is free. A
-connection silent for REQUEST_TIMEOUT_SECONDS on any read or write is
-closed; a body that stalls that long answers 408 request_timeout. A worker
-is taken when a connection is accepted, not when its request arrives, so
-MAX_WORKERS connections that send nothing hold every worker and make every
-other client, health checks included, wait up to REQUEST_TIMEOUT_SECONDS;
-a client that keeps reopening them keeps the server stalled. The timeout
-bounds each read, not the whole request, so a client that trickles its
-request a byte at a time holds a worker for as long as it keeps sending.
-server_close() waits for the requests in flight, so a clean stop (SIGTERM
-or SIGINT under `memgov serve`) finishes them, and a client holding an idle
-connection open delays it by at most REQUEST_TIMEOUT_SECONDS.
+Serving model: one thread runs one `selectors` loop, the single-process
+event-driven design of Flash (Pai, Druschel and Zwaenepoel, USENIX ATC
+1999). The loop accepts connections, reads each request's line, headers
+and Content-Length body into a buffer with non-blocking reads, then runs
+the route inline and sends the answer in one buffer: one request per
+connection (HTTP/1.0). No read or write ever blocks the loop.
+
+* One deadline per connection. REQUEST_TIMEOUT_SECONDS runs from accept to
+  the last body byte: a partial request then answers 408 request_timeout,
+  and a connection that sent nothing is closed. An answer the client does
+  not read within the same time is dropped. On Linux the listener sets
+  TCP_DEFER_ACCEPT, so the kernel hands a connection over once its first
+  bytes arrive, or after about a second of silence; the loop then usually
+  reads the whole request right after accepting it.
+* An answer sent before the whole request was read (the 400, 405, 413,
+  414 and 431 refusals above, and the 408) ends with a lingering close (RFC 9112, section 9.6): the
+  server half-closes, then reads and drops what the client still sends, at
+  most LINGER_BYTES for at most LINGER_SECONDS, so that a client that
+  writes its whole request before reading gets the answer, not a reset.
+* At most MAX_CONNECTIONS connections are open. When one more arrives, the
+  open connection with the earliest deadline that is still waiting on its
+  client is closed to make room, so silent or trickling clients cannot
+  make a new client wait. A head is held to 64 KiB and a body to
+  MAX_BODY_BYTES, so the buffers hold at most MAX_CONNECTIONS x (64 KiB +
+  MAX_BODY_BYTES) bytes, about 68 MiB.
+* Requests are answered one at a time, so a slow route delays the others.
+  Under the GIL a pool of threads ran no two requests' Python code at once
+  either; it overlapped only work inside numpy, such as two searches over a
+  large store on two CPUs. The traffic served here is one closed-loop agent
+  that opens a connection per request: the hand-off to a pool cost it more
+  than that overlap gave, and keep-alive would not help it.
+* shutdown() asks the loop to stop and returns at once. server_close()
+  waits until the loop has sent the answers already made, then closes
+  every connection, so a clean stop (SIGTERM or SIGINT under `memgov
+  serve`) finishes the request in flight and never waits on an idle client.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import selectors
 import socket
+import sys
 import threading
 import time
+import traceback
 import uuid
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from email.utils import formatdate
 from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 from .cards import ExperienceCard, card_to_dict
 from .errors import DataError, MemgovError, UnembeddableTextError, UnknownCardError
@@ -74,15 +97,18 @@ MAX_TOP_K = 100
 # they bound what one request can make the server hold.
 MAX_BODY_BYTES = 1_048_576
 MAX_QUERY_CHARS = 4096
-# Bounds on the lingering close after a 413: bytes read and dropped, and seconds.
+# Largest request head (request line and headers), and most header lines.
+MAX_HEAD_BYTES = 65_536
+MAX_HEADER_LINES = 100
+# Bounds on a lingering close: bytes read and dropped, and seconds.
 LINGER_BYTES = 64 << 20
 LINGER_SECONDS = 2.0
 # Most live sessions; creating one more evicts the oldest created.
 MAX_SESSIONS = 10_000
-# Most requests served at once, each on a reused pool thread.
-MAX_WORKERS = 32
-# Seconds a connection may stay silent, on any one read or write, before
-# the server closes it; also bounds how long a clean stop waits.
+# Most open connections; one more closes the oldest still waiting on its client.
+MAX_CONNECTIONS = 64
+# Seconds from accept to the last byte of a request, and for the client to
+# read its answer; also bounds how long a clean stop waits.
 REQUEST_TIMEOUT_SECONDS = 5.0
 
 
@@ -237,10 +263,15 @@ class ToolService:
 
 
 class _ApiError(Exception):
-    def __init__(self, status: int, code: str, message: str):
+    def __init__(self, status: int, code: str, message: str, headers: tuple = (), content=True):
         self.status = status
         self.code = code
         self.message = message
+        self.headers = headers
+        self.content = content  # False: send the headers only (an answer to HEAD)
+
+    def body(self) -> bytes:
+        return json.dumps({"error": {"code": self.code, "message": self.message}}).encode()
 
 
 # The answer to each fault a route may raise, first match wins; any other
@@ -256,127 +287,45 @@ _FAULTS: dict[type[Exception], tuple[int, str]] = {
 _SESSION_PATH = re.compile(r"^/v1/session/([0-9a-f]+)$")
 
 
-class _Handler(BaseHTTPRequestHandler):
-    service: ToolService  # set by make_http_server
-    # HTTP/1.0: one request per connection, so pool threads finish with
-    # their request and a clean shutdown only waits for in-flight work.
-    protocol_version = "HTTP/1.0"
+class _Routes:
+    """The endpoints: one whole request to its status and JSON body."""
 
-    def log_message(self, fmt, *args):  # quiet by default
-        pass
+    def __init__(self, service: ToolService):
+        self.service = service
 
-    def _send(self, status: int, payload: dict, headers: tuple = ()) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in headers:
-            self.send_header(name, value)
-        self.end_headers()
-        if self.command != "HEAD":  # an answer to HEAD carries no content (RFC 9110, 9.3.2)
-            self.wfile.write(body)
-
-    def _fail(self, err: _ApiError, headers: tuple = ()) -> None:
-        self._send(err.status, {"error": {"code": err.code, "message": err.message}}, headers)
-        if err.status == 413:
-            self._linger()
-
-    def send_error(self, code: int, message: str | None = None, explain: str | None = None) -> None:
-        """Answer the faults BaseHTTPRequestHandler finds before any do_*
-        method runs (a malformed request line, a request line over 64 KiB, a
-        bad header, a method with no do_* method) in the error envelope, not
-        the base class's HTML page."""
-        if code == HTTPStatus.NOT_IMPLEMENTED:  # an unknown method is the client's fault
-            err = _ApiError(405, "method_not_allowed", f"method {self.command!r} is not allowed")
-            self._fail(err, (("Allow", "GET, POST"),))
-            return
-        status = HTTPStatus(code)
-        self._fail(_ApiError(status, status.name.lower(), message or status.phrase))
-
-    def _linger(self) -> None:
-        """Lingering close (RFC 9112, section 9.6): half-close, then drop
-        the unread body until the client closes, LINGER_SECONDS pass or
-        LINGER_BYTES are read. Closing with unread bytes would reset the
-        connection and could discard the answer before the client reads it."""
-        deadline = time.monotonic() + LINGER_SECONDS
-        left = LINGER_BYTES
+    def answer(self, method: str, path: str, raw: bytes) -> tuple[int, bytes]:
+        """The body the route returns, or the error envelope for what it raised."""
         try:
-            self.connection.shutdown(socket.SHUT_WR)
-            while left > 0 and (remaining := deadline - time.monotonic()) > 0:
-                self.connection.settimeout(remaining)
-                chunk = self.rfile.read1(min(left, 1 << 16))
-                if not chunk:
-                    break
-                left -= len(chunk)
-        except OSError:  # reset by the client, or the deadline passed
-            pass
-
-    def _read_json(self) -> dict:
-        header = self.headers.get("Content-Length") or "0"
-        try:
-            length = int(header)
-        except ValueError:
-            length = -1
-        if length < 0:
-            raise DataError(f"bad Content-Length {header!r}")
-        if length > MAX_BODY_BYTES:  # answered by _fail with a lingering close
-            raise _ApiError(
-                413, "payload_too_large", f"body of {length} bytes exceeds {MAX_BODY_BYTES}"
-            )
-        try:
-            raw = self.rfile.read(length) if length else b""
-        except TimeoutError:  # the client stalled mid-body
-            raise _ApiError(408, "request_timeout", f"body not received within {self.timeout} s")
-        if not raw:
-            return {}
-        try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise _ApiError(400, "invalid_json", f"request body is not JSON: {exc.msg}")
-        except RecursionError:  # e.g. a megabyte of "["
-            raise _ApiError(400, "invalid_json", "request body nests too deeply")
-        if not isinstance(data, dict):
-            raise DataError("request body must be a JSON object")
-        return data
-
-    def _answer(self, route) -> None:
-        """Send the body route() returns, or the error envelope for what it raised."""
-        try:
-            self._send(200, route())
+            payload = self._get(path) if method == "GET" else self._post(path, raw)
+            return 200, json.dumps(payload).encode()
         except _ApiError as err:
-            self._fail(err)
+            return err.status, err.body()
         except Exception as exc:
             status, code = next(
                 (answer for fault, answer in _FAULTS.items() if isinstance(exc, fault)),
                 (500, "internal"),
             )
-            self._fail(_ApiError(status, code, str(exc)))
+            return status, _ApiError(status, code, str(exc)).body()
 
-    def do_GET(self) -> None:
-        self._answer(self._get)
-
-    def do_POST(self) -> None:
-        self._answer(self._post)
-
-    def _get(self) -> dict:
-        if self.path == "/v1/health":
+    def _get(self, path: str) -> dict:
+        if path == "/v1/health":
             return self.service.health()
-        m = _SESSION_PATH.match(self.path)
+        m = _SESSION_PATH.match(path)
         if m:
             return self.service.sessions.get(m.group(1)).to_dict()
-        raise _ApiError(404, "not_found", f"unknown path {self.path}")
+        raise _ApiError(404, "not_found", f"unknown path {path}")
 
-    def _post(self) -> dict:
-        body = self._read_json()
-        if self.path == "/v1/search":
+    def _post(self, path: str, raw: bytes) -> dict:
+        body = _read_json(raw)
+        if path == "/v1/search":
             return self._search(body)
-        if self.path == "/v1/browse":
+        if path == "/v1/browse":
             return self._browse(body)
-        if self.path == "/v1/session":
+        if path == "/v1/session":
             return {"session_id": self.service.sessions.create()}
-        if self.path == "/v1/transfer_brief":
+        if path == "/v1/transfer_brief":
             return self._brief(body)
-        raise _ApiError(404, "not_found", f"unknown path {self.path}")
+        raise _ApiError(404, "not_found", f"unknown path {path}")
 
     def _search(self, body: dict) -> dict:
         if "query" not in body or not isinstance(body["query"], str):
@@ -407,6 +356,22 @@ class _Handler(BaseHTTPRequestHandler):
         return self.service.assemble_transfer_brief(session_id, card_ids).to_dict()
 
 
+def _read_json(raw: bytes) -> dict:
+    if not raw:
+        return {}
+    try:
+        data = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise _ApiError(400, "invalid_json", f"request body is not JSON: {exc.msg}")
+    except ValueError as exc:  # not UTF-8, or a number too long for int()
+        raise _ApiError(400, "invalid_json", f"request body is not JSON: {exc}")
+    except RecursionError:  # e.g. a megabyte of "["
+        raise _ApiError(400, "invalid_json", "request body nests too deeply")
+    if not isinstance(data, dict):
+        raise DataError("request body must be a JSON object")
+    return data
+
+
 def _session_id(body: dict) -> str | None:
     session_id = body.get("session_id")
     if session_id is not None and not isinstance(session_id, str):
@@ -414,47 +379,317 @@ def _session_id(body: dict) -> str | None:
     return session_id
 
 
-class _PooledHTTPServer(HTTPServer):
-    """HTTPServer whose accept loop hands each connection to a pool of
-    reused threads and waits while all of them are busy."""
+_REQUEST_LINE = re.compile(rb"([!#$%&'*+.^_`|~0-9A-Za-z-]+) (\S+) HTTP/1\.[0-9]")
+_HEAD_END = re.compile(rb"\r?\n\r?\n")
+_ALLOW = (("Allow", "GET, POST"),)
 
-    def __init__(self, address, handler):
-        # Before binding: a failed bind calls server_close(). No thread
-        # starts until the first request.
-        self._pool = ThreadPoolExecutor(MAX_WORKERS, thread_name_prefix="memgov-http")
-        self._free = threading.BoundedSemaphore(MAX_WORKERS)
-        super().__init__(address, handler)
 
-    def process_request(self, request, client_address) -> None:
-        self._free.acquire()
+def _parse_head(head: bytes) -> tuple[str, str, int]:
+    """The method, path and body length of a request head (its bytes before
+    the blank line), or the _ApiError that answers it."""
+    line, *fields = head.split(b"\n")
+    m = _REQUEST_LINE.fullmatch(line.rstrip(b"\r"))
+    if m is None:
+        raise _ApiError(400, "bad_request", f"malformed request line {line[:200]!r}")
+    if len(fields) > MAX_HEADER_LINES:
+        raise _ApiError(
+            431, "request_header_fields_too_large", f"more than {MAX_HEADER_LINES} header lines"
+        )
+    length = None
+    for line in fields:
+        name, colon, value = line.partition(b":")
+        if not colon:
+            raise _ApiError(400, "bad_request", f"malformed header line {line[:200]!r}")
+        if length is None and name.strip().lower() == b"content-length":
+            length = value.strip()
+    method, path = m.group(1).decode(), m.group(2).decode("latin-1")
+    if method not in ("GET", "POST"):
+        err = f"method {method!r} is not allowed"
+        raise _ApiError(405, "method_not_allowed", err, _ALLOW, content=method != "HEAD")
+    length = length or b"0"
+    try:
+        size = int(length) if length.isdigit() else -1
+    except ValueError:  # more digits than int() converts
+        size = -1
+    if size < 0:
+        raise _ApiError(400, "invalid_request", f"bad Content-Length {length.decode('latin-1')!r}")
+    if size > MAX_BODY_BYTES:
+        raise _ApiError(
+            413, "payload_too_large", f"body of {size} bytes exceeds {MAX_BODY_BYTES}"
+        )
+    return method, path, size
+
+
+def _response(status: int, body: bytes, headers: tuple = (), content: bool = True) -> bytes:
+    """Status line, headers and body in one buffer."""
+    head = [
+        f"HTTP/1.0 {status} {HTTPStatus(status).phrase}",
+        "Content-Type: application/json",
+        f"Content-Length: {len(body)}",
+        f"Date: {formatdate(usegmt=True)}",
+        *(f"{name}: {value}" for name, value in headers),
+        "\r\n",
+    ]
+    return "\r\n".join(head).encode() + (body if content else b"")
+
+
+class _Connection:
+    """One client's socket, deadline and buffers. It reads until `out` holds
+    an answer, writes until `out` is empty, and, while `left` is set,
+    drops what the client still sends (a lingering close)."""
+
+    __slots__ = (
+        "sock", "deadline", "events", "buf", "head", "body_start", "body_end", "out", "linger",
+        "left",
+    )
+
+    def __init__(self, sock: socket.socket, deadline: float):
+        self.sock = sock
+        self.deadline = deadline
+        self.events = 0  # what the selector watches for; 0: not registered
+        self.buf = bytearray()
+        self.head: tuple[str, str] | None = None  # method and path, once read
+        self.body_start = self.body_end = 0  # where the body lies in buf
+        self.out: memoryview | None = None
+        self.linger = False
+        self.left: int | None = None
+
+    def waiting(self) -> bool:
+        """Still reading its request or lingering: nothing left to send."""
+        return self.out is None
+
+
+class HttpServer:
+    """The tool API on one selectors loop; see the module docstring."""
+
+    def __init__(self, service: ToolService, host: str, port: int):
+        self._listener = socket.create_server((host, port))
+        self._listener.setblocking(False)
+        if hasattr(socket, "TCP_DEFER_ACCEPT"):  # Linux: accept once the first bytes are in
+            self._listener.setsockopt(socket.IPPROTO_TCP, socket.TCP_DEFER_ACCEPT, 1)
+        self.server_address = self._listener.getsockname()
+        self._routes = _Routes(service)
+        self._timeout = REQUEST_TIMEOUT_SECONDS
+        self._max_connections = MAX_CONNECTIONS
+        self._connections: set[_Connection] = set()
+        self._wake, self._waker = socket.socketpair()
+        self._waker.setblocking(False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._selector.register(self._wake, selectors.EVENT_READ)
+        self._stop = False
+        self._state = threading.Lock()  # guards _running and _closed
+        self._running = self._closed = False
+        self._stopped = threading.Event()
+
+    def serve_forever(self) -> None:
+        """Run the loop until shutdown() or server_close()."""
+        with self._state:
+            if self._closed:
+                return
+            self._running = True
         try:
-            self._pool.submit(self._serve_one, request, client_address)
-        except BaseException:  # e.g. no thread could start: give the slot back
-            self._free.release()
-            raise
-
-    def _serve_one(self, request, client_address) -> None:
-        try:
-            self.finish_request(request, client_address)
-        except Exception:
-            self.handle_error(request, client_address)
+            while True:
+                soonest = self._expire()
+                if self._stop:
+                    if self._listener in self._selector.get_map():
+                        self._selector.unregister(self._listener)
+                    for conn in [c for c in self._connections if c.waiting()]:
+                        self._close(conn)
+                    if not self._connections:
+                        return
+                timeout = None if soonest is None else max(soonest - time.monotonic(), 0.0)
+                for key, _events in self._selector.select(timeout):
+                    self._dispatch(key)
         finally:
-            self.shutdown_request(request)
-            self._free.release()
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Ask the loop to stop, and return at once; safe in a signal handler."""
+        self._stop = True
+        try:
+            self._waker.send(b"\0")
+        except OSError:  # already woken (buffer full), or closed
+            pass
 
     def server_close(self) -> None:
-        super().server_close()
-        self._pool.shutdown()  # waits for the requests in flight
+        """Stop the loop, wait until it has sent the answers already made,
+        then close every connection and socket."""
+        self.shutdown()
+        with self._state:
+            self._closed = True
+            running = self._running
+        if running:
+            self._stopped.wait()
+        for conn in list(self._connections):
+            self._close(conn)
+        self._selector.close()
+        for sock in (self._listener, self._wake, self._waker):
+            sock.close()
+
+    def _dispatch(self, key: selectors.SelectorKey) -> None:
+        if key.data is None:
+            if key.fileobj is self._listener:
+                self._accept()
+            else:
+                self._wake.recv(4096)
+        elif key.data in self._connections:  # not closed earlier in this round
+            self._serve(key.data)
+
+    def _accept(self) -> None:
+        try:
+            sock, _address = self._listener.accept()
+        except OSError:  # the client left before its connection was accepted
+            return
+        sock.setblocking(False)
+        if len(self._connections) >= self._max_connections:
+            self._close(min(self._connections, key=lambda c: (not c.waiting(), c.deadline)))
+        conn = _Connection(sock, time.monotonic() + self._timeout)
+        self._connections.add(conn)
+        # With TCP_DEFER_ACCEPT the request has mostly arrived by now:
+        # answering it at once spares registering the socket and a select.
+        self._serve(conn)
+
+    def _serve(self, conn: _Connection) -> None:
+        """Read or write, whichever the connection waits for. A fault in
+        this server drops the connection, not the loop."""
+        try:
+            if conn.out is None:
+                self._read(conn)
+            else:
+                self._flush(conn)
+        except Exception:
+            traceback.print_exc(file=sys.stderr)
+            self._close(conn)
+
+    def _read(self, conn: _Connection) -> None:
+        if conn.left is not None:
+            want = 1 << 16
+        elif conn.head is None:
+            want = MAX_HEAD_BYTES - len(conn.buf)
+        else:
+            want = min(conn.body_end - len(conn.buf), 1 << 16)
+        try:
+            chunk = conn.sock.recv(want)
+        except BlockingIOError:
+            self._watch(conn, selectors.EVENT_READ)
+            return
+        except OSError:  # reset by the client
+            self._close(conn)
+            return
+        if conn.left is not None:  # lingering: drop it
+            conn.left -= len(chunk)
+            if not chunk or conn.left <= 0:
+                self._close(conn)
+        elif not chunk:  # the client stopped sending before its request was whole
+            if conn.buf:
+                self._fail(conn, _ApiError(400, "bad_request", "request ended before it was whole"))
+            else:
+                self._close(conn)
+        else:
+            scanned = max(len(conn.buf) - 3, 0)
+            conn.buf += chunk
+            try:
+                request = self._request(conn, scanned)
+            except _ApiError as err:
+                self._fail(conn, err)
+                return
+            if request is None:
+                self._watch(conn, selectors.EVENT_READ)
+            else:
+                status, body = self._routes.answer(*request)
+                self._send(conn, _response(status, body), linger=False)
+
+    def _request(self, conn: _Connection, scanned: int) -> tuple[str, str, bytes] | None:
+        """(method, path, body) once the buffer holds the whole request;
+        None while more is to come. scanned: where the blank line may start."""
+        buf = conn.buf
+        if conn.head is None:
+            end = _HEAD_END.search(buf, scanned)
+            if end is None:
+                if len(buf) < MAX_HEAD_BYTES:
+                    return None
+                if b"\n" not in buf:
+                    raise _ApiError(
+                        414, "request_uri_too_long", f"request line over {MAX_HEAD_BYTES} bytes"
+                    )
+                raise _ApiError(
+                    431, "request_header_fields_too_large", f"head over {MAX_HEAD_BYTES} bytes"
+                )
+            method, path, size = _parse_head(bytes(buf[: end.start()]))
+            conn.head = method, path
+            conn.body_start, conn.body_end = end.end(), end.end() + size
+        if len(buf) < conn.body_end:
+            return None
+        return *conn.head, bytes(buf[conn.body_start : conn.body_end])
+
+    def _fail(self, conn: _Connection, err: _ApiError) -> None:
+        """Answer before the request was read whole, then close lingering."""
+        self._send(conn, _response(err.status, err.body(), err.headers, err.content), linger=True)
+
+    def _send(self, conn: _Connection, answer: bytes, linger: bool) -> None:
+        conn.out = memoryview(answer)
+        conn.linger = linger
+        conn.deadline = time.monotonic() + self._timeout
+        self._flush(conn)
+
+    def _flush(self, conn: _Connection) -> None:
+        try:
+            sent = conn.sock.send(conn.out)
+        except BlockingIOError:
+            sent = 0
+        except OSError:  # the client is gone
+            self._close(conn)
+            return
+        conn.out = conn.out[sent:]
+        if conn.out:
+            self._watch(conn, selectors.EVENT_WRITE)
+            return
+        if not conn.linger:
+            self._close(conn)
+            return
+        try:
+            conn.sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            self._close(conn)
+            return
+        conn.out = None
+        conn.left = LINGER_BYTES
+        conn.deadline = time.monotonic() + LINGER_SECONDS
+        self._watch(conn, selectors.EVENT_READ)
+
+    def _watch(self, conn: _Connection, events: int) -> None:
+        if conn.events != events:
+            if conn.events:
+                self._selector.modify(conn.sock, events, conn)
+            else:
+                self._selector.register(conn.sock, events, conn)
+            conn.events = events
+
+    def _expire(self) -> float | None:
+        """Act on every deadline that has passed; return the next deadline."""
+        now = time.monotonic()
+        for conn in [c for c in self._connections if c.deadline <= now]:
+            if conn.waiting() and conn.left is None and conn.buf:
+                err = f"request not received within {self._timeout} s"
+                self._fail(conn, _ApiError(408, "request_timeout", err))
+            else:
+                self._close(conn)
+        return min((c.deadline for c in self._connections), default=None)
+
+    def _close(self, conn: _Connection) -> None:
+        if conn in self._connections:
+            self._connections.remove(conn)
+            if conn.events:
+                self._selector.unregister(conn.sock)
+            conn.sock.close()
 
 
-def make_http_server(service: ToolService, host: str = "127.0.0.1", port: int = 0) -> HTTPServer:
+def make_http_server(service: ToolService, host: str = "127.0.0.1", port: int = 0) -> HttpServer:
     """Build (but do not start) the HTTP server bound to host:port.
 
     Port 0 picks a free port; server.server_address reports the real one.
     Call serve_forever() to run, then shutdown() and server_close() for a
-    clean stop that lets in-flight requests finish.
+    clean stop that sends the answer in flight.
     """
-    handler = type(
-        "BoundHandler", (_Handler,), {"service": service, "timeout": REQUEST_TIMEOUT_SECONDS}
-    )
-    return _PooledHTTPServer((host, port), handler)
+    return HttpServer(service, host, port)

@@ -546,6 +546,17 @@ def test_demo_agent_gibberish_warns_and_exits_zero(planted, tmp_path, capsys):
     assert "warning" in stdout
 
 
+def test_demo_agent_refuses_a_non_utf8_issue_file(planted, tmp_path, capsys):
+    store_dir, _ = planted
+    issue = tmp_path / "issue.txt"
+    issue.write_bytes(b"\xff\xfe bad")
+    code, stdout, stderr = run_cli(capsys, "demo-agent", str(store_dir), str(issue))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ") and "UTF-8" in stderr
+    assert len(stderr.splitlines()) == 1
+
+
 def test_demo_agent_respects_round_cap(planted, tmp_path, capsys):
     store_dir, _ = planted
     issue = tmp_path / "issue.txt"

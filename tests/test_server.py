@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import select
 import socket
 import string
 import threading
@@ -465,15 +468,14 @@ def test_search_request_validation():
         service.handle_browse(BrowseRequest(card_id=""))
 
 
-# --- the worker pool ----------------------------------------------------------
+# --- serving ------------------------------------------------------------------
 
 POOL_TIMEOUT = 0.3  # REQUEST_TIMEOUT_SECONDS in the pool tests
 
 
 @pytest.fixture
 def pooled(monkeypatch):
-    """A live server with two workers and a 0.3 s request timeout."""
-    monkeypatch.setattr(server_module, "MAX_WORKERS", 2)
+    """A live server with a 0.3 s request timeout."""
     monkeypatch.setattr(server_module, "REQUEST_TIMEOUT_SECONDS", POOL_TIMEOUT)
     service, cards = build_service()
     server = make_http_server(service)
@@ -583,25 +585,173 @@ def test_stalled_body_times_out_without_a_500(pooled):
     assert body["error"]["code"] == "request_timeout"
 
 
-def test_a_failed_hand_off_gives_its_worker_back(pooled):
-    server, base, _service, _cards = pooled
-    submit, failures = server._pool.submit, [2]  # one per worker
+# --- the event loop: deadlines, the connection cap, raw bytes -----------------
 
-    def failing_submit(*args):
-        if failures[0]:
-            failures[0] -= 1
-            raise RuntimeError("can't start new thread")
-        return submit(*args)
 
-    server._pool.submit = failing_submit
-    for _ in range(2):
-        with silent_connection(base) as sock:
-            sock.sendall(b"GET /v1/health HTTP/1.0\r\n\r\n")
-            assert sock.recv(1024) == b""  # closed unanswered
-    # Checked without blocking: a lost slot would hang the accept loop.
-    free = [server._free.acquire(blocking=False) for _ in range(2)]
-    for taken in free:
-        if taken:
-            server._free.release()
-    assert all(free)
-    assert requests.get(f"{base}/v1/health", timeout=5).status_code == 200
+@contextlib.contextmanager
+def serving(service):
+    """Base URL of a server for service, running on its own thread."""
+    server = make_http_server(service)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(10)
+
+
+def read_until_closed(sock: socket.socket) -> bytes:
+    """Everything the server sends until it closes; a reset ends it too."""
+    data = b""
+    try:
+        while chunk := sock.recv(4096):
+            data += chunk
+    except ConnectionResetError:
+        pass
+    return data
+
+
+def test_health_is_answered_past_the_old_worker_count(live):
+    # 40 silent connections: more than the 32 workers of a thread pool. The
+    # clock starts before the first, since a connection waiting in a full
+    # listen backlog is a stall too.
+    base, _service, cards = live
+    start = time.monotonic()
+    sockets = [silent_connection(base) for _ in range(40)]
+    try:
+        resp = requests.get(f"{base}/v1/health", timeout=10)
+        elapsed = time.monotonic() - start
+    finally:
+        for sock in sockets:
+            sock.close()
+    assert resp.status_code == 200
+    assert resp.json()["card_count"] == len(cards)
+    assert elapsed < 0.5
+
+
+@pytest.mark.parametrize("sent", [b"", b"G"], ids=["silent", "stalled"])
+def test_a_new_client_is_answered_when_clients_hold_every_connection(monkeypatch, sent):
+    monkeypatch.setattr(server_module, "MAX_CONNECTIONS", 2)
+    service, _cards = build_service()
+    with serving(service) as base:
+        first, second = silent_connection(base), silent_connection(base)
+        with first, second:
+            for sock in (first, second):
+                sock.sendall(sent)
+            start = time.monotonic()
+            resp = requests.get(f"{base}/v1/health", timeout=10)
+            elapsed = time.monotonic() - start
+            assert resp.status_code == 200
+            assert elapsed < 0.5
+            if sent:  # Linux does not hand over a connection before it sends
+                # The connection with the earliest deadline made room.
+                assert read_until_closed(first) == b""
+
+
+def test_a_trickled_request_line_times_out_as_a_whole(pooled):
+    _server, base, _service, _cards = pooled
+    start = time.monotonic()
+    with silent_connection(base) as sock:
+        for byte in b"GET /v1/health HTTP/1.0\r\n\r\n":
+            try:
+                sock.sendall(bytes([byte]))
+            except OSError:  # closed by the server
+                break
+            if select.select([sock], [], [], 0.2)[0]:  # answered or closed
+                break
+        response = read_until_closed(sock)
+    assert time.monotonic() - start < POOL_TIMEOUT + 1.0
+    assert response == b"" or response.startswith(b"HTTP/1.0 408 "), response
+
+
+def fd_count() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+def test_no_connection_outlives_its_deadline(pooled, monkeypatch):
+    monkeypatch.setattr(server_module, "LINGER_SECONDS", POOL_TIMEOUT)
+    _server, base, _service, _cards = pooled
+    before = fd_count()
+    assert raw_request(base, "GET /v1/health HTTP/1.0")[0] == 200
+    assert raw_request(base, "GET /v1/session/a b HTTP/1.0")[0] == 400
+    held = []  # client ends kept open, so that only the server can close them
+    for head in (
+        f"POST /v1/search HTTP/1.0\r\nContent-Length: {MAX_BODY_BYTES + 1}\r\n\r\n",  # 413
+        'POST /v1/search HTTP/1.0\r\nContent-Length: 100\r\n\r\n{"query": ',  # 408
+        "",  # silent
+    ):
+        sock = silent_connection(base)
+        sock.sendall(head.encode())
+        held.append(sock)
+    with silent_connection(base) as sock:  # abandoned mid-request
+        sock.sendall(b"POST /v1/sea")
+    try:
+        deadline = time.monotonic() + POOL_TIMEOUT * 2 + 2.0
+        while fd_count() != before + len(held) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert fd_count() == before + len(held)
+    finally:
+        for sock in held:
+            sock.close()
+    assert fd_count() == before
+
+
+RAW_TIMEOUT = 0.5  # REQUEST_TIMEOUT_SECONDS of the raw-bytes server
+
+
+@pytest.fixture(scope="module")
+def raw_served():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(server_module, "REQUEST_TIMEOUT_SECONDS", RAW_TIMEOUT)
+        service, _cards = build_service()
+        with serving(service) as base:
+            yield int(base.rsplit(":", 1)[1])
+
+
+REQUEST_LINES = st.sampled_from(
+    [
+        b"GET /v1/health HTTP/1.0",
+        b"GET /v1/session/abc HTTP/1.1",
+        b"POST /v1/search HTTP/1.0",
+        b"POST /v1/browse HTTP/1.1",
+        b"POST /v1/session HTTP/1.0",
+        b"POST /v1/transfer_brief HTTP/1.0",
+        b"PUT /v1/search HTTP/1.0",
+    ]
+) | st.binary(max_size=40)
+HEADER_LINES = st.lists(
+    st.binary(max_size=30) | st.sampled_from([b"Content-Length: 5", b"Content-Length: x", b"Host: a"]),
+    max_size=4,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    line=REQUEST_LINES,
+    headers=HEADER_LINES,
+    body=st.binary(max_size=100),
+    declared=st.booleans(),
+    half_close=st.booleans(),
+)
+@example(line=b"POST /v1/search HTTP/1.0", headers=[], body=b"\x80", declared=True, half_close=False)
+@example(line=b"POST /v1/search HTTP/1.0", headers=[], body=b"1" * 5000, declared=True, half_close=False)
+def test_any_request_bytes_get_no_5xx_and_no_hang(raw_served, line, headers, body, declared, half_close):
+    head = line + b"\r\n" + b"".join(header + b"\r\n" for header in headers)
+    if declared:
+        head += b"Content-Length: %d\r\n" % len(body)
+    start = time.monotonic()
+    with socket.create_connection(("127.0.0.1", raw_served), timeout=RAW_TIMEOUT + 1) as sock:
+        try:
+            sock.sendall(head + b"\r\n" + body)
+            if half_close:
+                sock.shutdown(socket.SHUT_WR)
+        except OSError:  # closed by the server before everything was sent
+            pass
+        response = read_until_closed(sock)
+    assert time.monotonic() - start < RAW_TIMEOUT + 1
+    if response:
+        assert response.startswith(b"HTTP/1.0 "), response[:100]
+        assert int(response.split(b" ", 2)[1]) < 500, response
