@@ -49,10 +49,11 @@ connection (HTTP/1.0). No read or write ever blocks the loop.
   bytes arrive, or after about a second of silence; the loop then usually
   reads the whole request right after accepting it.
 * An answer sent before the whole request was read (the 400, 405, 413,
-  414 and 431 refusals above, and the 408) ends with a lingering close (RFC 9112, section 9.6): the
-  server half-closes, then reads and drops what the client still sends, at
-  most LINGER_BYTES for at most LINGER_SECONDS, so that a client that
-  writes its whole request before reading gets the answer, not a reset.
+  414 and 431 refusals above, and the 408) ends with a lingering close
+  (RFC 9112, section 9.6): the server half-closes, then reads and drops
+  what the client still sends, at most LINGER_BYTES for at most
+  LINGER_SECONDS, so that a client that writes its whole request before
+  reading gets the answer, not a reset.
 * At most MAX_CONNECTIONS connections are open. When one more arrives, the
   open connection with the earliest deadline that is still waiting on its
   client is closed to make room, so silent or trickling clients cannot
@@ -435,12 +436,11 @@ def _response(status: int, body: bytes, headers: tuple = (), content: bool = Tru
 
 class _Connection:
     """One client's socket, deadline and buffers. It reads until `out` holds
-    an answer, writes until `out` is empty, and, while `left` is set,
+    an answer and writes until `out` is empty; then, if `left` is set, it
     drops what the client still sends (a lingering close)."""
 
     __slots__ = (
-        "sock", "deadline", "events", "buf", "head", "body_start", "body_end", "out", "linger",
-        "left",
+        "sock", "deadline", "events", "buf", "head", "body_start", "body_end", "out", "left"
     )
 
     def __init__(self, sock: socket.socket, deadline: float):
@@ -451,8 +451,7 @@ class _Connection:
         self.head: tuple[str, str] | None = None  # method and path, once read
         self.body_start = self.body_end = 0  # where the body lies in buf
         self.out: memoryview | None = None
-        self.linger = False
-        self.left: int | None = None
+        self.left: int | None = None  # bytes a lingering close may still drop
 
     def waiting(self) -> bool:
         """Still reading its request or lingering: nothing left to send."""
@@ -563,7 +562,7 @@ class HttpServer:
             self._close(conn)
 
     def _read(self, conn: _Connection) -> None:
-        if conn.left is not None:
+        if conn.left is not None:  # lingering
             want = 1 << 16
         elif conn.head is None:
             want = MAX_HEAD_BYTES - len(conn.buf)
@@ -629,7 +628,7 @@ class HttpServer:
 
     def _send(self, conn: _Connection, answer: bytes, linger: bool) -> None:
         conn.out = memoryview(answer)
-        conn.linger = linger
+        conn.left = LINGER_BYTES if linger else None
         conn.deadline = time.monotonic() + self._timeout
         self._flush(conn)
 
@@ -645,7 +644,7 @@ class HttpServer:
         if conn.out:
             self._watch(conn, selectors.EVENT_WRITE)
             return
-        if not conn.linger:
+        if conn.left is None:
             self._close(conn)
             return
         try:
@@ -654,7 +653,6 @@ class HttpServer:
             self._close(conn)
             return
         conn.out = None
-        conn.left = LINGER_BYTES
         conn.deadline = time.monotonic() + LINGER_SECONDS
         self._watch(conn, selectors.EVENT_READ)
 

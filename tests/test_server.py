@@ -723,7 +723,8 @@ REQUEST_LINES = st.sampled_from(
     ]
 ) | st.binary(max_size=40)
 HEADER_LINES = st.lists(
-    st.binary(max_size=30) | st.sampled_from([b"Content-Length: 5", b"Content-Length: x", b"Host: a"]),
+    st.binary(max_size=30)
+    | st.sampled_from([b"Content-Length: 5", b"Content-Length: x", b"Host: a"]),
     max_size=4,
 )
 
@@ -736,9 +737,15 @@ HEADER_LINES = st.lists(
     declared=st.booleans(),
     half_close=st.booleans(),
 )
-@example(line=b"POST /v1/search HTTP/1.0", headers=[], body=b"\x80", declared=True, half_close=False)
-@example(line=b"POST /v1/search HTTP/1.0", headers=[], body=b"1" * 5000, declared=True, half_close=False)
-def test_any_request_bytes_get_no_5xx_and_no_hang(raw_served, line, headers, body, declared, half_close):
+@example(
+    line=b"POST /v1/search HTTP/1.0", headers=[], body=b"\x80", declared=True, half_close=False
+)
+@example(
+    line=b"POST /v1/search HTTP/1.0", headers=[], body=b"1" * 5000, declared=True, half_close=False
+)
+def test_any_request_bytes_get_no_5xx_and_no_hang(
+    raw_served, line, headers, body, declared, half_close
+):
     head = line + b"\r\n" + b"".join(header + b"\r\n" for header in headers)
     if declared:
         head += b"Content-Length: %d\r\n" % len(body)
