@@ -106,7 +106,8 @@ LINGER_BYTES = 64 << 20
 LINGER_SECONDS = 2.0
 # Most live sessions; creating one more evicts the oldest created.
 MAX_SESSIONS = 10_000
-# Most open connections; one more closes the oldest still waiting on its client.
+# Most open connections; one more closes the open one with the earliest
+# deadline that is still waiting on its client.
 MAX_CONNECTIONS = 64
 # Seconds from accept to the last byte of a request, and for the client to
 # read its answer; also bounds how long a clean stop waits.
