@@ -116,24 +116,12 @@ def parse_timestamp(raw: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-def format_timestamp(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
 def comment_from_dict(data: dict) -> Comment:
     return Comment(
         author_role=AuthorRole(data.get("author_role", "unknown")),
         body=data.get("body", ""),
         timestamp=parse_timestamp(data["timestamp"]),
     )
-
-
-def comment_to_dict(c: Comment) -> dict:
-    return {
-        "author_role": c.author_role.value,
-        "body": c.body,
-        "timestamp": format_timestamp(c.timestamp),
-    }
 
 
 def triplet_from_dict(data: dict) -> RawTriplet:
@@ -163,25 +151,6 @@ def triplet_from_dict(data: dict) -> RawTriplet:
         raise DataError("triplet missing required key", field=str(exc.args[0])) from exc
     except (TypeError, ValueError) as exc:
         raise DataError(f"triplet malformed: {exc}") from exc
-
-
-def triplet_to_dict(t: RawTriplet) -> dict:
-    return {
-        "repo": t.repo,
-        "issue": {
-            "number": t.issue.number,
-            "title": t.issue.title,
-            "body": t.issue.body,
-            "comments": [comment_to_dict(c) for c in t.issue.comments],
-        },
-        "pr": {
-            "number": t.pr.number,
-            "merged": t.pr.merged,
-            "linked_issue_refs": list(t.pr.linked_issue_refs),
-            "discussion": [comment_to_dict(c) for c in t.pr.discussion],
-        },
-        "patch_text": t.patch_text,
-    }
 
 
 def load_fixture_triplets(path: str | Path) -> Iterator[TripletOrError]:

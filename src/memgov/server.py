@@ -139,7 +139,7 @@ class SessionRound:
 class SessionLog:
     session_id: str
     rounds: list[SessionRound] = field(default_factory=list)
-    browsed: list[str] = field(default_factory=list)  # card ids, browse order
+    browsed: dict[str, None] = field(default_factory=dict)  # card ids, browse order
 
     def to_dict(self) -> dict:
         return {"session_id": self.session_id, "rounds": [asdict(r) for r in self.rounds]}
@@ -190,6 +190,11 @@ class SessionRegistry:
         with self._lock:
             return self._log(session_id)
 
+    def browsed(self, session_id: str) -> dict[str, None]:
+        """A copy of the session's browsed card ids, in browse order."""
+        with self._lock:
+            return dict(self._log(session_id).browsed)
+
     def append(
         self, session_id: str, kind: str, request: str, result: str, browsed: str | None = None
     ) -> None:
@@ -199,8 +204,8 @@ class SessionRegistry:
             log = self._log(session_id)
             self._last_ts = max(self._last_ts, time.time())
             log.rounds.append(SessionRound(kind, request, result, self._last_ts))
-            if browsed is not None and browsed not in log.browsed:
-                log.browsed.append(browsed)
+            if browsed is not None:
+                log.browsed.setdefault(browsed)
 
 
 class UnknownSessionError(MemgovError):
@@ -239,14 +244,14 @@ class ToolService:
 
     def assemble_transfer_brief(self, session_id: str, card_ids: list[str]) -> TransferBrief:
         """Concatenate browsed cards' resolution fields, in browse order."""
-        log = self.sessions.get(session_id)
+        browsed = self.sessions.browsed(session_id)
         for card_id in card_ids:
-            if card_id not in log.browsed:
+            if card_id not in browsed:
                 raise CardNotBrowsedError(
                     f"card {card_id!r} was not browsed in session {session_id!r}"
                 )
         wanted = set(card_ids)
-        ordered = [cid for cid in log.browsed if cid in wanted]
+        ordered = [cid for cid in browsed if cid in wanted]
         cards = [self.store.browse(cid) for cid in ordered]
         return TransferBrief(
             root_cause_pattern="\n\n".join(c.resolution.root_cause for c in cards),

@@ -5,24 +5,36 @@ resolution layer never influences ranking. The normative ranking semantics
 is an exhaustive flat scan by cosine similarity with ties broken by card id
 ascending; any accelerated structure must reproduce it exactly.
 
-On-disk layout (one directory per store), format 2:
+On-disk layout (one directory per store), format 3:
 
 * cards.jsonl    -- one serialized card per line, in indexing order
-* vectors.bin    -- magic "MEMGIDX2", little-endian u32 count, u32
+* vectors.bin    -- magic "MEMGIDX3", little-endian u32 count, u32
                     dimension, count*dimension little-endian float32 values
                     row-major (rows aligned with cards.jsonl), then the
-                    8-byte blake2b digest of all preceding bytes
+                    little-endian u32 zlib.crc32 of all preceding bytes
 * manifest.json  -- {format_version, dimension, count, embedder_id,
-                    cards_blake2b}; cards_blake2b is the hex 8-byte blake2b
-                    digest of cards.jsonl
+                    cards_crc32}; cards_crc32 is the zlib.crc32 of
+                    cards.jsonl as 8 hex digits
 
 A changed byte in vectors.bin or cards.jsonl raises ChecksumError at load.
-A format-1 store (magic "MEMGIDX1", an FNV-1a trailer, no cards digest) is
-refused with StoreFormatError; re-run govern to rebuild it in format 2.
+CRC-32 is certain to catch any change that falls within 32 consecutive
+bits, so every flipped byte; a random change spread wider than that goes
+unnoticed with probability about 2^-32. The checksum guards against
+accidental corruption only: it is not keyed, so it does not stop anyone who
+can rewrite the files.
 
-Load decodes no card: it keeps each cards.jsonl line and its card id, and a
-card is decoded when search or browse first returns it. A malformed card
-line therefore surfaces as StoreFormatError when it is first read.
+Format 2 (magic "MEMGIDX2", an 8-byte blake2b trailer and cards_blake2b,
+the hex 8-byte blake2b of cards.jsonl) still loads; save() writes only
+format 3, so re-saving a format-2 store upgrades it. A format-1 store
+(magic "MEMGIDX1", an FNV-1a trailer, no cards digest) is refused with
+StoreFormatError; re-run govern to rebuild it.
+
+The cards are held as on disk: one bytearray with exactly the bytes of
+cards.jsonl and the offset of each row's line end. Load reads the file into
+that buffer, checks it, and finds the line ends and the leading card ids in
+one pass; it decodes no card, and a card is decoded when search or browse
+first returns it. A malformed card line therefore surfaces as
+StoreFormatError when it is first read.
 
 In memory, search needs one float32 (capacity, dimension) matrix and one
 float64 norm per row, nothing else. The matrix is column-major, so each
@@ -56,7 +68,11 @@ import hashlib
 import json
 import os
 import struct
+import zlib
+from array import array
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -72,23 +88,46 @@ from .errors import (
     UnknownCardError,
 )
 
-FORMAT_VERSION = 2
-MAGIC = b"MEMGIDX2"  # vectors.bin magic of format 2
+FORMAT_VERSION = 3  # the format save() writes
 DEFAULT_TOP_K = 10
 DEFAULT_DEDUP_THRESHOLD = 0.95
 
 _HEADER = 16  # magic, u32 count, u32 dimension
-_TRAILER = 8  # checksum of everything before it
 _CARD_ID_PREFIX = b'{"card_id": "'  # how card_to_dict lines start once dumped
 _CHUNK_ROWS = 1024  # rows per block when load and save stream vectors.bin
 _U32 = 2.0**-24  # unit roundoff of float32
 _U64 = 2.0**-53  # unit roundoff of float64
 
 
-def _blake2b_8(data: bytes = b""):
-    """The 8-byte blake2b hash format 2 uses for both files; update() feeds
-    it more bytes."""
-    return hashlib.blake2b(data, digest_size=8)
+class _Crc32:
+    """zlib.crc32 behind hashlib's update / digest / hexdigest surface; the
+    digest is little-endian."""
+
+    def __init__(self, data=b""):
+        self.value = zlib.crc32(data)
+
+    def update(self, data) -> None:
+        self.value = zlib.crc32(data, self.value)
+
+    def digest(self) -> bytes:
+        return self.value.to_bytes(4, "little")
+
+    def hexdigest(self) -> str:
+        return f"{self.value:08x}"
+
+
+@dataclass(frozen=True)
+class _Format:
+    magic: bytes  # vectors.bin's first 8 bytes
+    trailer: int  # bytes of checksum that end vectors.bin
+    checksum: Callable[..., object]  # a running checksum of its argument, as _Crc32
+    cards_key: str  # the manifest key of cards.jsonl's hex checksum
+
+
+_FORMATS = {
+    2: _Format(b"MEMGIDX2", 8, partial(hashlib.blake2b, digest_size=8), "cards_blake2b"),
+    3: _Format(b"MEMGIDX3", 4, _Crc32, "cards_crc32"),
+}
 
 
 @dataclass(frozen=True)
@@ -144,32 +183,49 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(wide, wide))
 
 
-def _decode_line(line: bytes, row: int) -> ExperienceCard:
+def _decode_line(line: bytes | bytearray, row: int) -> ExperienceCard:
     try:
         return card_from_dict(json.loads(line))
     except (ValueError, DataError) as exc:  # ValueError covers JSON and UTF-8 faults
         raise StoreFormatError(f"cards.jsonl line {row + 1}: {exc}") from exc
 
 
-def _leading_card_id(line: bytes) -> str | None:
-    """The card id of a line in the layout save() writes, without decoding
-    the card; None when the line does not start that way."""
-    if not line.startswith(_CARD_ID_PREFIX):
-        return None
-    end = line.find(b'"', len(_CARD_ID_PREFIX))
-    raw = line[len(_CARD_ID_PREFIX) : end]
-    if end < 0 or b"\\" in raw:
-        return None
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
+def _index_lines(text: bytearray) -> tuple[array, list[str], dict[str, ExperienceCard]]:
+    """Index cards.jsonl's bytes, which end with a newline, in one pass: the
+    offset of each line's newline, each line's card id, and the cards
+    decoded on the way. A line in the layout save() writes is not copied:
+    its id is read off its start. Any other line is decoded."""
+    ends = array("q")  # int64, so that no int object per row outlives its append
+    ids: list[str] = []
+    cards: dict[str, ExperienceCard] = {}
+    # Bound methods: this loop runs once per card, 135,000 times at scale.
+    find, startswith, add_end, add_id = text.find, text.startswith, ends.append, ids.append
+    skip = len(_CARD_ID_PREFIX)
+    start, size = 0, len(text)
+    while start < size:
+        end = find(b"\n", start)
+        card_id = None
+        if startswith(_CARD_ID_PREFIX, start):
+            quote = find(b'"', start + skip, end)
+            if quote >= 0:
+                try:
+                    card_id = text[start + skip : quote].decode("utf-8")
+                except UnicodeDecodeError:
+                    pass
+        if card_id is None or "\\" in card_id:  # not save()'s layout, or escaped: decode it
+            card = _decode_line(text[start:end], len(ids))
+            card_id = card.card_id
+            cards[card_id] = card
+        add_end(end)
+        add_id(card_id)
+        start = end + 1
+    return ends, ids, cards
 
 
 class MemoryStore:
     """In-memory card collection with flat-scan retrieval.
 
-    Each card is held as its serialized cards.jsonl line and decoded on
+    The cards are held as the bytes of cards.jsonl, and each is decoded on
     first read; decoded cards are memoised. Its vector is a row of one
     column-major float32 matrix, whose float64 row norms are kept next to
     it. Reads (search, browse) are safe to run concurrently over a loaded
@@ -179,7 +235,8 @@ class MemoryStore:
     def __init__(self, embedder: Embedder):
         self.embedder = embedder
         self._ids: list[str] = []
-        self._lines: list[bytes] = []  # cards.jsonl line per row, no newline
+        self._text = bytearray()  # the bytes of cards.jsonl, one line per row
+        self._ends = np.zeros(0, dtype=np.int64)  # offset of each row's newline in _text
         # Column-major, rows >= count: self._matrix.T is row-major (dimension, rows).
         self._matrix = np.zeros((0, embedder.dimension), dtype=np.float32, order="F")
         self._norms = np.zeros(0)  # float64 norm per matrix row
@@ -233,12 +290,16 @@ class MemoryStore:
             matrix[:row] = self._matrix[:row]
             norms = np.empty(capacity)
             norms[:row] = self._norms[:row]
-            self._matrix, self._norms = matrix, norms
+            ends = np.empty(capacity, dtype=np.int64)
+            ends[:row] = self._ends[:row]
+            self._matrix, self._norms, self._ends = matrix, norms, ends
         self._matrix[row] = vector
         self._norms[row] = norm
+        self._text += json.dumps(card_to_dict(card)).encode()
+        self._text += b"\n"
+        self._ends[row] = len(self._text) - 1
         self._positions[card.card_id] = row
         self._ids.append(card.card_id)
-        self._lines.append(json.dumps(card_to_dict(card)).encode())
         self._cards[card.card_id] = card
 
     def _card_at(self, row: int) -> ExperienceCard:
@@ -246,7 +307,8 @@ class MemoryStore:
         card_id = self._ids[row]
         card = self._cards.get(card_id)
         if card is None:
-            card = _decode_line(self._lines[row], row)
+            start = int(self._ends[row - 1]) + 1 if row else 0
+            card = _decode_line(self._text[start : int(self._ends[row])], row)
             if card.card_id != card_id:
                 raise StoreFormatError(
                     f"cards.jsonl line {row + 1}: card id {card.card_id!r} "
@@ -374,15 +436,15 @@ class MemoryStore:
         return np.flatnonzero(approx >= kth - 2.0 * beta)
 
     def save(self, directory: str | Path) -> None:
-        """Persist cards, vectors, and manifest in format 2; load() restores
+        """Persist cards, vectors, and manifest in format 3; load() restores
         exactly, and a loaded store saves byte-identical cards.jsonl."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        cards_blob = b"".join(line + b"\n" for line in self._lines)
-        (directory / "cards.jsonl").write_bytes(cards_blob)
+        fmt = _FORMATS[FORMAT_VERSION]
+        (directory / "cards.jsonl").write_bytes(self._text)
         count = len(self._ids)
-        header = MAGIC + struct.pack("<II", count, self.dimension)
-        digest = _blake2b_8(header)
+        header = fmt.magic + struct.pack("<II", count, self.dimension)
+        digest = fmt.checksum(header)
         with open(directory / "vectors.bin", "wb") as fh:
             fh.write(header)
             for start in range(0, count, _CHUNK_ROWS):
@@ -397,14 +459,14 @@ class MemoryStore:
             "dimension": self.dimension,
             "count": count,
             "embedder_id": self.embedder.embedder_id,
-            "cards_blake2b": _blake2b_8(cards_blob).hexdigest(),
+            fmt.cards_key: fmt.checksum(self._text).hexdigest(),
         }
         (directory / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
     @classmethod
     def load(cls, directory: str | Path, embedder: Embedder | None = None) -> "MemoryStore":
-        """Load a persisted store, verifying layout and checksums; cards are
-        decoded on first read.
+        """Load a persisted store of format 3 or 2, verifying layout and
+        checksums; cards are decoded on first read.
 
         When no embedder is passed, the manifest's embedder id must name a
         default embedder; an explicitly passed embedder must match the
@@ -412,6 +474,7 @@ class MemoryStore:
         """
         directory = Path(directory)
         manifest = read_manifest(directory)
+        fmt = _FORMATS[manifest["format_version"]]
         dimension = manifest["dimension"]
         count = manifest["count"]
         embedder_id = manifest["embedder_id"]
@@ -434,35 +497,31 @@ class MemoryStore:
         vectors_path = directory / "vectors.bin"
         if not vectors_path.is_file():
             raise StoreFormatError(f"store at {directory} is missing vectors.bin")
-        matrix, norms = _read_vectors(vectors_path, count, dimension)
+        matrix, norms = _read_vectors(vectors_path, fmt, count, dimension)
 
         cards_path = directory / "cards.jsonl"
         if not cards_path.is_file():
             raise StoreFormatError(f"store at {directory} is missing cards.jsonl")
-        blob = cards_path.read_bytes()
-        if _blake2b_8(blob).hexdigest() != manifest["cards_blake2b"]:
+        with open(cards_path, "rb") as fh:
+            text = bytearray(os.fstat(fh.fileno()).st_size)
+            if fh.readinto(text) != len(text):
+                raise StoreFormatError("cards.jsonl shrank while it was read")
+        if fmt.checksum(text).hexdigest() != manifest[fmt.cards_key]:
             raise ChecksumError("cards.jsonl failed checksum verification")
-        lines = blob.split(b"\n")
-        if lines[-1] == b"":
-            lines.pop()
-        if len(lines) != count:
-            raise StoreFormatError(f"cards.jsonl has {len(lines)} lines, manifest says {count}")
+        if text and not text.endswith(b"\n"):
+            text += b"\n"  # save() ends every line, the last one too
+        ends, ids, cards = _index_lines(text)
+        if len(ends) != count:
+            raise StoreFormatError(f"cards.jsonl has {len(ends)} lines, manifest says {count}")
 
-        store = cls(embedder)
-        ids = []
-        for row, line in enumerate(lines):
-            card_id = _leading_card_id(line)
-            if card_id is None:  # not save()'s layout: decode the card now
-                card = _decode_line(line, row)
-                card_id = card.card_id
-                store._cards[card_id] = card
-            ids.append(card_id)
         bad = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))
         if len(bad):
             raise StoreFormatError(
                 f"vectors.bin row {bad[0] + 1} (card {ids[bad[0]]!r}) is zero or not finite"
             )
-        store._ids, store._lines = ids, lines
+        store = cls(embedder)
+        store._ids, store._text, store._cards = ids, text, cards
+        store._ends = np.array(ends, dtype=np.int64)
         store._matrix, store._norms = matrix, norms
         store._positions = dict(zip(ids, range(count)))
         if len(store._positions) != count:
@@ -473,8 +532,8 @@ class MemoryStore:
 
 def read_manifest(directory: Path) -> dict:
     """The store's manifest.json, refused with StoreFormatError unless it is
-    a format 2 object whose dimension and count are integers and whose
-    embedder_id and cards_blake2b are strings."""
+    a format 3 or format 2 object whose dimension and count are integers
+    and whose embedder_id and cards checksum are strings."""
     path = directory / "manifest.json"
     if not path.is_file():
         raise StoreFormatError(f"no store at {directory} (missing manifest.json)")
@@ -489,10 +548,12 @@ def read_manifest(directory: Path) -> dict:
         raise StoreFormatError(
             "format_version 1 is no longer read; re-run govern to rebuild the store"
         )
-    if version != FORMAT_VERSION:
-        raise StoreFormatError(f"unsupported format_version {version!r}")
+    try:
+        fmt = _FORMATS[version]
+    except (KeyError, TypeError):  # TypeError: an unhashable JSON value
+        raise StoreFormatError(f"unsupported format_version {version!r}") from None
     for key, kind in (
-        ("dimension", int), ("count", int), ("embedder_id", str), ("cards_blake2b", str)
+        ("dimension", int), ("count", int), ("embedder_id", str), (fmt.cards_key, str)
     ):
         value = manifest.get(key)
         if not isinstance(value, kind) or isinstance(value, bool):
@@ -500,26 +561,28 @@ def read_manifest(directory: Path) -> dict:
     return manifest
 
 
-def _read_vectors(path: Path, count: int, dimension: int) -> tuple[np.ndarray, np.ndarray]:
+def _read_vectors(
+    path: Path, fmt: _Format, count: int, dimension: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Stream vectors.bin into a column-major float32 matrix and the float64
-    row norms, a block of rows at a time, checking its layout and digest."""
+    row norms, a block of rows at a time, checking its layout and checksum."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        if size < _HEADER + _TRAILER:
+        if size < _HEADER + fmt.trailer:
             raise StoreFormatError("vectors.bin truncated (no room for header and checksum)")
         header = fh.read(_HEADER)
-        if header[: len(MAGIC)] != MAGIC:
+        if header[: len(fmt.magic)] != fmt.magic:
             raise StoreFormatError("vectors.bin has wrong magic bytes (version mismatch?)")
-        file_count, file_dim = struct.unpack_from("<II", header, len(MAGIC))
+        file_count, file_dim = struct.unpack_from("<II", header, len(fmt.magic))
         if (file_count, file_dim) != (count, dimension):
             raise StoreFormatError(
                 f"vectors.bin header ({file_count}, {file_dim}) disagrees with manifest "
                 f"({count}, {dimension})"
             )
-        expected = _HEADER + count * dimension * 4 + _TRAILER
+        expected = _HEADER + count * dimension * 4 + fmt.trailer
         if size != expected:
             raise StoreFormatError(f"vectors.bin is {size} bytes, expected {expected} (truncated?)")
-        digest = _blake2b_8(header)
+        digest = fmt.checksum(header)
         matrix = np.empty((count, dimension), dtype=np.float32, order="F")
         norms = np.empty(count)
         buffer = memoryview(bytearray(min(count, _CHUNK_ROWS) * dimension * 4))
@@ -532,7 +595,7 @@ def _read_vectors(path: Path, count: int, dimension: int) -> tuple[np.ndarray, n
             rows = np.frombuffer(chunk, dtype="<f4").reshape(stop - start, dimension)
             matrix[start:stop] = rows
             norms[start:stop] = _row_norms(rows)
-        if fh.read(_TRAILER) != digest.digest():
+        if fh.read(fmt.trailer) != digest.digest():
             raise ChecksumError("vectors.bin failed checksum verification")
     return matrix, norms
 

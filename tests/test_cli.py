@@ -653,4 +653,4 @@ def test_console_script_entrypoint(built_store):
         timeout=30,
     )
     assert proc.returncode == 0
-    assert json.loads(proc.stdout)["format_version"] == 2
+    assert json.loads(proc.stdout)["format_version"] == 3

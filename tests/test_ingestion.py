@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from datetime import timezone
 
 import pytest
 
@@ -13,10 +14,37 @@ from memgov.ingestion import (
     RepoStats,
     load_fixture_triplets,
     triplet_from_dict,
-    triplet_to_dict,
 )
 
 from conftest import make_triplet
+
+
+def comment_row(c: Comment) -> dict:
+    return {
+        "author_role": c.author_role.value,
+        "body": c.body,
+        "timestamp": c.timestamp.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+    }
+
+
+def triplet_row(t: RawTriplet) -> dict:
+    """The JSON form that triplet_from_dict reads, written out for fixtures."""
+    return {
+        "repo": t.repo,
+        "issue": {
+            "number": t.issue.number,
+            "title": t.issue.title,
+            "body": t.issue.body,
+            "comments": [comment_row(c) for c in t.issue.comments],
+        },
+        "pr": {
+            "number": t.pr.number,
+            "merged": t.pr.merged,
+            "linked_issue_refs": list(t.pr.linked_issue_refs),
+            "discussion": [comment_row(c) for c in t.pr.discussion],
+        },
+        "patch_text": t.patch_text,
+    }
 
 
 def test_repo_stats_validation():
@@ -34,7 +62,7 @@ def test_comment_body_empty_only_for_bots():
 
 def test_load_fixture_triplets_order_and_determinism(tmp_path, triplet):
     path = tmp_path / "triplets.jsonl"
-    rows = [triplet_to_dict(make_triplet(issue_number=i, pr_number=100 + i)) for i in (5, 3, 9)]
+    rows = [triplet_row(make_triplet(issue_number=i, pr_number=100 + i)) for i in (5, 3, 9)]
     path.write_text("".join(json.dumps(r) + "\n" for r in rows))
     first = list(load_fixture_triplets(path))
     second = list(load_fixture_triplets(path))
@@ -49,7 +77,7 @@ def test_load_fixture_triplets_empty_file(tmp_path):
 
 
 def test_load_fixture_triplets_missing_field_cites_line(tmp_path, triplet):
-    rows = [triplet_to_dict(triplet), triplet_to_dict(triplet)]
+    rows = [triplet_row(triplet), triplet_row(triplet)]
     del rows[1]["patch_text"]
     path = tmp_path / "triplets.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in rows))
@@ -65,4 +93,4 @@ def test_load_fixture_triplets_missing_file(tmp_path):
 
 
 def test_triplet_serde_round_trip(triplet):
-    assert triplet_from_dict(triplet_to_dict(triplet)) == triplet
+    assert triplet_from_dict(triplet_row(triplet)) == triplet

@@ -7,6 +7,8 @@ import random
 import struct
 import tempfile
 import threading
+import tracemalloc
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -420,8 +422,8 @@ def test_save_load_save_is_byte_identical_across_chunks(tmp_path, count):
     loaded.save(tmp_path / "b")
     for name in ("cards.jsonl", "vectors.bin", "manifest.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-    payload = b"MEMGIDX2" + struct.pack("<II", count, 7) + rows.astype("<f4").tobytes()
-    digest = hashlib.blake2b(payload, digest_size=8).digest()
+    payload = b"MEMGIDX3" + struct.pack("<II", count, 7) + rows.astype("<f4").tobytes()
+    digest = zlib.crc32(payload).to_bytes(4, "little")
     assert (tmp_path / "a" / "vectors.bin").read_bytes() == payload + digest
 
 
@@ -667,8 +669,8 @@ def test_load_refuses_a_nan_infinite_or_zero_row(tmp_path, value):
     raw = bytearray(path.read_bytes())
     start, width = 16 + 7 * 256 * 4, 256 * 4
     raw[start : start + width] = np.full(256, value, dtype="<f4").tobytes()
-    payload = bytes(raw[:-8])
-    path.write_bytes(payload + hashlib.blake2b(payload, digest_size=8).digest())
+    payload = bytes(raw[:-4])
+    path.write_bytes(payload + zlib.crc32(payload).to_bytes(4, "little"))
     with pytest.raises(StoreFormatError) as err:
         MemoryStore.load(tmp_path / "store")
     assert "row 8" in str(err.value)
@@ -738,19 +740,19 @@ def test_vectors_bin_layout(tmp_path):
     store = make_store(cards)
     store.save(tmp_path / "store")
     raw = (tmp_path / "store" / "vectors.bin").read_bytes()
-    assert raw[:8] == b"MEMGIDX2"
+    assert raw[:8] == b"MEMGIDX3"
     count, dim = struct.unpack_from("<II", raw, 8)
     assert (count, dim) == (4, 256)
-    assert len(raw) == 16 + count * dim * 4 + 8
-    assert raw[-8:] == hashlib.blake2b(raw[:-8], digest_size=8).digest()
+    assert len(raw) == 16 + count * dim * 4 + 4
+    assert raw[-4:] == zlib.crc32(raw[:-4]).to_bytes(4, "little")
 
 
 def test_manifest_records_cards_digest(tmp_path):
     make_store(distinct_cards(4)).save(tmp_path / "store")
     manifest = json.loads((tmp_path / "store" / "manifest.json").read_text())
     blob = (tmp_path / "store" / "cards.jsonl").read_bytes()
-    assert manifest["format_version"] == 2
-    assert manifest["cards_blake2b"] == hashlib.blake2b(blob, digest_size=8).hexdigest()
+    assert manifest["format_version"] == 3
+    assert manifest["cards_crc32"] == f"{zlib.crc32(blob):08x}"
 
 
 def test_corrupted_cards_fail_checksum(tmp_path):
@@ -795,7 +797,7 @@ def rewrite_cards(directory, edit):
     blob = b"".join(line + b"\n" for line in lines)
     path.write_bytes(blob)
     manifest = json.loads((directory / "manifest.json").read_text())
-    manifest["cards_blake2b"] = hashlib.blake2b(blob, digest_size=8).hexdigest()
+    manifest["cards_crc32"] = f"{zlib.crc32(blob):08x}"
     (directory / "manifest.json").write_text(json.dumps(manifest))
 
 
@@ -899,3 +901,107 @@ def test_format_1_store_is_refused(tmp_path):
     with pytest.raises(StoreFormatError) as err:
         MemoryStore.load(tmp_path / "v1")
     assert "re-run govern" in str(err.value)
+
+
+def write_v2_store(directory, store):
+    """Write a store in format 2 by hand, following its documented layout:
+    MEMGIDX2 magic and an 8-byte blake2b trailer in vectors.bin, and the hex
+    8-byte blake2b of cards.jsonl as the manifest's cards_blake2b."""
+    directory.mkdir()
+    cards = [store.browse(card_id) for card_id in store.card_ids()]
+    blob = "".join(json.dumps(card_to_dict(card)) + "\n" for card in cards).encode()
+    (directory / "cards.jsonl").write_bytes(blob)
+    payload = (
+        b"MEMGIDX2"
+        + struct.pack("<II", len(cards), store.dimension)
+        + store.vectors.astype("<f4").tobytes()
+    )
+    digest = hashlib.blake2b(payload, digest_size=8).digest()
+    (directory / "vectors.bin").write_bytes(payload + digest)
+    manifest = {
+        "format_version": 2,
+        "dimension": store.dimension,
+        "count": len(cards),
+        "embedder_id": store.embedder.embedder_id,
+        "cards_blake2b": hashlib.blake2b(blob, digest_size=8).hexdigest(),
+    }
+    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+
+
+def test_format_2_store_loads_and_saves_as_format_3(tmp_path):
+    cards = distinct_cards(12)
+    store = make_store(cards)
+    write_v2_store(tmp_path / "v2", store)
+    loaded = MemoryStore.load(tmp_path / "v2")
+    assert loaded.card_ids() == store.card_ids()
+    assert loaded.vectors.tobytes() == store.vectors.tobytes()
+    assert [loaded.browse(c.card_id) for c in cards] == cards
+    loaded.save(tmp_path / "v3")
+    store.save(tmp_path / "fresh")
+    for name in ("cards.jsonl", "vectors.bin", "manifest.json"):
+        assert (tmp_path / "v3" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    v3 = tmp_path / "v3"
+    assert (v3 / "cards.jsonl").read_bytes() == (tmp_path / "v2" / "cards.jsonl").read_bytes()
+    assert json.loads((v3 / "manifest.json").read_text())["format_version"] == 3
+    reloaded = MemoryStore.load(v3)
+    assert reloaded.card_ids() == store.card_ids()
+    assert reloaded.vectors.tobytes() == store.vectors.tobytes()
+    assert [reloaded.browse(c.card_id) for c in cards] == cards
+
+
+@pytest.mark.parametrize("version", [2, 3])
+@pytest.mark.parametrize("name", ["cards.jsonl", "vectors.bin"])
+def test_a_flipped_byte_fails_the_checksum_in_either_format(tmp_path, version, name):
+    store = make_store(distinct_cards(10))
+    if version == 2:
+        write_v2_store(tmp_path / "store", store)
+    else:
+        store.save(tmp_path / "store")
+    path = tmp_path / "store" / name
+    good = path.read_bytes()
+    for offset in (16, len(good) // 2, len(good) - 1):  # past the header, to the trailer
+        raw = bytearray(good)
+        raw[offset] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ChecksumError):
+            MemoryStore.load(tmp_path / "store")
+    path.write_bytes(good)
+    assert MemoryStore.load(tmp_path / "store").card_ids() == store.card_ids()
+
+
+def test_load_holds_cards_jsonl_once(tmp_path):
+    # Load's traced peak (numpy reports to tracemalloc) is one copy of
+    # cards.jsonl, the matrix and its norms, plus a slack of 300 bytes per
+    # row for the ids, the id map and the line ends. A second copy of the
+    # lines, about 600 bytes per row here, does not fit.
+    count = 4000
+    rows = np.random.default_rng(4).standard_normal((count, 7)).astype(np.float32)
+    store = table_store(list(rows))
+    store.save(tmp_path / "store")
+    size = (tmp_path / "store" / "cards.jsonl").stat().st_size
+    tracemalloc.start()
+    try:
+        loaded = MemoryStore.load(tmp_path / "store", store.embedder)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == count
+    assert peak < size + count * 7 * 4 + count * 8 + 300 * count
+
+
+def test_a_last_line_without_newline_loads_and_grows(tmp_path):
+    cards = distinct_cards(4)
+    make_store(cards[:3]).save(tmp_path / "store")
+    path = tmp_path / "store" / "cards.jsonl"
+    blob = path.read_bytes()[:-1]
+    path.write_bytes(blob)
+    manifest = json.loads((tmp_path / "store" / "manifest.json").read_text())
+    manifest["cards_crc32"] = f"{zlib.crc32(blob):08x}"
+    (tmp_path / "store" / "manifest.json").write_text(json.dumps(manifest))
+    loaded = MemoryStore.load(tmp_path / "store")
+    loaded.index_card(cards[3])
+    assert [loaded.browse(c.card_id) for c in cards] == cards
+    loaded.save(tmp_path / "grown")
+    make_store(cards).save(tmp_path / "fresh")
+    for name in ("cards.jsonl", "vectors.bin", "manifest.json"):
+        assert (tmp_path / "grown" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
