@@ -1,9 +1,9 @@
 """JSON Lines audit log for per-item pipeline decisions.
 
 Two record shapes share the file: rejections {repo, issue, pr, reason}
-(purification failures, dedup removals, unreadable items) and QC decisions
-{repo, issue, pr, iteration, aggregate, accepted}. Records carry no
-timestamps so identical runs produce identical logs.
+(purification failures, dedup removals, unembeddable cards, unreadable
+items) and QC decisions {repo, issue, pr, iteration, aggregate, accepted}.
+Records carry no timestamps so identical runs produce identical logs.
 
 The file is opened once and written through one buffered handle; use the
 log as a context manager (or call close()) so the last records reach the

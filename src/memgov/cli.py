@@ -9,6 +9,7 @@ scripted clients can swap the CLI and the HTTP API freely.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import signal
@@ -153,6 +154,8 @@ def _providers(args, cfg: PipelineConfig):
 
 def cmd_govern(args) -> int:
     cfg = load_config(args.config)
+    if args.workers is not None:
+        cfg = dataclasses.replace(cfg, workers=args.workers)  # re-runs its checks
     input_path = Path(args.input)
     if not input_path.is_file():
         raise DataError(f"input file not found: {input_path}")
@@ -166,7 +169,6 @@ def cmd_govern(args) -> int:
             distiller=distiller,
             evaluator=evaluator,
             audit=audit,
-            workers=args.workers,
         )
     _print_fields(args, counts.as_dict())
     if not args.json:

@@ -6,7 +6,7 @@ Example:
       "selection": {"lambda_s": 1.0, "lambda_i": 1.0, "lambda_p": 1.0, "top_m": 50},
       "purification": {"tau": 0.2},
       "qc": {"gamma": 0.7, "max_iterations": 3},
-      "embedder": {"id": "feature-hash-256", "dimension": 256},
+      "embedder": {"id": "feature-hash-256"},
       "dedup": {"threshold": 0.95},
       "paths": {"audit_log": null},
       "provider": {"endpoint": null, "model": null, "max_inflight": 8},
@@ -15,7 +15,8 @@ Example:
 
 Every key is optional; defaults match the module-level constants. Unknown
 keys, a section that is not an object and a value of the wrong JSON type
-are configuration errors, so typos fail loudly and before any work.
+are configuration errors, so typos fail loudly and before any work. The
+embedder id names the dimension: feature-hash-N embeds into N dimensions.
 """
 
 from __future__ import annotations
@@ -37,21 +38,15 @@ from .store import DEFAULT_DEDUP_THRESHOLD
 @dataclass(frozen=True)
 class EmbedderConfig:
     id: str = f"feature-hash-{DEFAULT_DIMENSION}"
-    dimension: int = DEFAULT_DIMENSION
 
     def __post_init__(self) -> None:
-        self.build()  # an unknown id or a wrong dimension fails at load, not after the run
+        self.build()  # an unknown id fails at load, not after the run
 
     def build(self) -> Embedder:
         embedder = default_embedder_for(self.id)
         if embedder is None:
             raise ConfigError(
                 f"unknown embedder id {self.id!r}; built-in ids look like 'feature-hash-256'"
-            )
-        if embedder.dimension != self.dimension:
-            raise ConfigError(
-                f"embedder id {self.id!r} implies dimension {embedder.dimension}, "
-                f"config says {self.dimension}"
             )
         return embedder
 

@@ -142,7 +142,7 @@ class _Parser:
         if line.startswith("diff --git "):
             return self.parse_git_file()
         if line.startswith("--- "):
-            return self.parse_plain_file(metadata=(), git_paths=None)
+            return self.parse_plain_file(metadata=())
         raise self.fail(f"malformed file header: {line[:80]!r}")
 
     def parse_git_file(self) -> FileDiff:
@@ -171,15 +171,13 @@ class _Parser:
 
         line = self.peek()
         if line is not None and line.startswith("--- "):
-            return self.parse_plain_file(metadata=tuple(metadata), git_paths=(old_path, new_path))
+            return self.parse_plain_file(metadata=tuple(metadata))
         # Header-only entry (mode change, pure rename): no hunks.
         if line is None or line == "" or line.startswith("diff --git "):
             return FileDiff(old_path=old_path, new_path=new_path, hunks=(), metadata=tuple(metadata))
         raise self.fail(f"unexpected line in file header: {line[:80]!r}")
 
-    def parse_plain_file(
-        self, metadata: tuple[str, ...], git_paths: tuple[str, str] | None
-    ) -> FileDiff:
+    def parse_plain_file(self, metadata: tuple[str, ...]) -> FileDiff:
         minus_no = self.lineno
         minus = self.advance()
         if not minus.startswith("--- "):

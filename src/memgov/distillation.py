@@ -343,17 +343,9 @@ class RuleBasedDistiller:
 class ChatDistiller:
     """LLM-backed distiller rendering an externalized prompt template."""
 
-    def __init__(
-        self,
-        provider: ChatProvider,
-        template: PromptTemplate | None = None,
-        retries: int = 3,
-        backoff: float = 0.5,
-    ):
+    def __init__(self, provider: ChatProvider, template: PromptTemplate | None = None):
         self.provider = provider
         self.template = template or PromptTemplate.load("distill_card")
-        self.retries = retries
-        self.backoff = backoff
 
     def _render(self, request: DistillerRequest) -> str:
         condensed = request.condensed
@@ -384,14 +376,10 @@ class ChatDistiller:
 
     def distill(self, request: DistillerRequest) -> ExperienceCard:
         prompt = self._render(request)
-        completion = retry_call(
-            lambda: self.provider.complete(prompt), retries=self.retries, backoff=self.backoff
-        )
+        completion = retry_call(lambda: self.provider.complete(prompt))
         try:
             return self._parse(completion, request)
         except MalformedOutputError:
             # One automatic re-request before surfacing malformed output.
-            completion = retry_call(
-                lambda: self.provider.complete(prompt), retries=self.retries, backoff=self.backoff
-            )
+            completion = retry_call(lambda: self.provider.complete(prompt))
             return self._parse(completion, request)

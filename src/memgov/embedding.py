@@ -91,15 +91,10 @@ class HashingEmbedder:
         # character like any other, never an encoding error.
         utf8 = text.casefold().encode("utf-8", "surrogatepass")
         tokens = utf8.translate(_NON_TOKEN_TO_SPACE).split()
-        cache = self._cache
-        try:
-            codes = [cache[token] for token in tokens]
-        except KeyError:  # a new token, or another thread emptied the cache
-            get = cache.get
-            codes = [
-                code if (code := get(token)) is not None else self._code(token)
-                for token in tokens
-            ]
+        get = self._cache.get
+        codes = [
+            code if (code := get(token)) is not None else self._code(token) for token in tokens
+        ]
         counts = np.bincount(codes, minlength=2 * self._dimension)
         # Sums of +-1 are small integers, exact in any order.
         acc = (counts[: self._dimension] - counts[self._dimension :]).astype(np.float64)

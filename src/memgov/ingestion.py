@@ -9,8 +9,10 @@ Triplet fixture files are JSON Lines, one raw-triplet object per line:
      "patch_text": "..."}
 
 where a comment is {"author_role": "maintainer|contributor|bot|unknown",
-"body": "...", "timestamp": "2024-01-02T03:04:05Z"}. Streaming operations
-yield ItemError records for malformed entries instead of aborting.
+"body": "...", "timestamp": "2024-01-02T03:04:05Z"}. The issue and PR
+numbers and each linked_issue_refs entry are JSON integers and merged is a
+JSON boolean; any other type is a malformed entry, never coerced. Streaming
+operations yield ItemError records for malformed entries instead of aborting.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ class RepoStats:
             raise DataError("repo slug is empty", field="repo")
         for name in ("stars", "issues", "pulls"):
             value = getattr(self, name)
-            if not value >= 0:
-                raise DataError(f"{name} must be >= 0, got {value}", field=name)
+            if isinstance(value, bool) or not value >= 0:
+                raise DataError(f"{name} must be a number >= 0, got {value!r}", field=name)
 
 
 @dataclass(frozen=True)
@@ -124,6 +126,14 @@ def comment_from_dict(data: dict) -> Comment:
     )
 
 
+def _typed(value, kind: type, field: str):
+    """The value when json.loads made it a ``kind``: an int is no bool and a
+    bool no int here, and neither a fraction nor a string passes."""
+    if type(value) is not kind:
+        raise DataError(f"expected {kind.__name__}, got {type(value).__name__}", field=field)
+    return value
+
+
 def triplet_from_dict(data: dict) -> RawTriplet:
     """Build a RawTriplet from its JSON form, raising DataError on gaps."""
     try:
@@ -134,15 +144,17 @@ def triplet_from_dict(data: dict) -> RawTriplet:
         return RawTriplet(
             repo=data["repo"],
             issue=Issue(
-                number=int(issue["number"]),
+                number=_typed(issue["number"], int, "issue.number"),
                 title=issue.get("title", ""),
                 body=issue.get("body", ""),
                 comments=tuple(comment_from_dict(c) for c in issue.get("comments", [])),
             ),
             pr=PullRequest(
-                number=int(pr["number"]),
-                merged=bool(pr["merged"]),
-                linked_issue_refs=tuple(int(n) for n in pr.get("linked_issue_refs", [])),
+                number=_typed(pr["number"], int, "pr.number"),
+                merged=_typed(pr["merged"], bool, "pr.merged"),
+                linked_issue_refs=tuple(
+                    _typed(n, int, "pr.linked_issue_refs") for n in pr.get("linked_issue_refs", [])
+                ),
                 discussion=tuple(comment_from_dict(c) for c in pr.get("discussion", [])),
             ),
             patch_text=data["patch_text"],

@@ -1,14 +1,17 @@
 """End-to-end governance: triplets in, a persisted memory store out.
 
 Per item: purify -> condense -> refine loop (distill + evaluate). Accepted
-cards are then deduplicated, indexed, and saved. Every input is accounted
-for in the audit log: indexed + rejected == read. Per-item rejections are
-counted, never fatal; only infrastructure faults (unreadable input,
-provider down) abort the run.
+cards are then deduplicated, indexed, and saved. A surviving card whose
+index text embeds to the zero vector (with the default embedder, text with
+no ASCII letter or digit, such as a Cyrillic-only index layer) cannot be
+searched, so it is rejected as "unembeddable" instead of indexed. Every input is accounted for in the
+audit log: indexed + rejected == read. Per-item rejections are counted,
+never fatal; only infrastructure faults (unreadable input, provider down)
+abort the run.
 
-Worker threads parallelize the per-item stages, but results are folded
-back in input order, so identical inputs with deterministic providers
-yield identical stores and audit logs.
+``cfg.workers`` worker threads parallelize the per-item stages, but results
+are folded back in input order, so identical inputs with deterministic
+providers yield identical stores and audit logs.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .cards import ExperienceCard
 from .cards import validate_schema  # noqa: F401  perfbench/tracing.py wraps pipeline.validate_schema
 from .config import PipelineConfig
 from .distillation import Distiller, purify_content
-from .errors import ConfigError
+from .errors import UnembeddableTextError
 from .ingestion import ItemError, TripletOrError
 from .purification import Classifier, PurifiedInstance, Rejection, RuleBasedCommentClassifier, purify
 from .quality import Evaluator, QcAccepted, refine_loop
@@ -90,19 +93,15 @@ def run_govern(
     evaluator: Evaluator,
     classifier: Classifier | None = None,
     audit: AuditLog | None = None,
-    workers: int | None = None,
 ) -> GovernCounts:
     """Run the full governance pipeline and persist the resulting store.
 
     A serial run streams ``items``: it pulls each item only after writing
     the previous one's audit record, and keeps only the accepted cards.
-    ``workers > 1`` still submits every item to the pool at once.
+    ``cfg.workers > 1`` still submits every item to the pool at once.
     """
     classifier = classifier or RuleBasedCommentClassifier(cfg.purification)
     audit = audit or AuditLog(None)
-    workers = cfg.workers if workers is None else workers
-    if workers < 1:
-        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     counts = GovernCounts()
 
     def task(item: TripletOrError) -> tuple[dict, ExperienceCard | None]:
@@ -110,8 +109,8 @@ def run_govern(
 
     accepted_cards: list[ExperienceCard] = []
     # The pool starts no thread until work is submitted to it.
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        outcomes = pool.map(task, items) if workers > 1 else map(task, items)
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        outcomes = pool.map(task, items) if cfg.workers > 1 else map(task, items)
         for record, card in outcomes:
             counts.read += 1
             audit.record(record)
@@ -132,11 +131,15 @@ def run_govern(
             audit.record(rejection(*card.source.as_tuple(), "duplicate"))
 
     # refine_loop accepts only cards with no schema violations, so every
-    # survivor is indexed as it is.
+    # survivor is indexed as it is, unless it embeds to the zero vector.
     store = MemoryStore(embedder)
     for card in survivors:
-        store.index_card(card)
-    counts.indexed = len(survivors)
+        try:
+            store.index_card(card)
+        except UnembeddableTextError:
+            audit.record(rejection(*card.source.as_tuple(), "unembeddable"))
+        else:
+            counts.indexed += 1
 
     store.save(output_dir)
     return counts

@@ -5,7 +5,8 @@ configured by environment variables (MEMGOV_LLM_ENDPOINT, MEMGOV_LLM_API_KEY,
 MEMGOV_LLM_MODEL); no specific model is bundled. Prompt templates are plain
 text files with {{field}} placeholders, shipped under memgov/prompts; a
 distiller or evaluator built with ``template=PromptTemplate(text)`` uses
-that text instead.
+that text instead. The retry policy is written once, in ``retry_call``'s
+defaults, which the chat distiller and evaluator use as they are.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from __future__ import annotations
 import bisect
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence, Union
 
 from .diffs import Diff, parse_unified_diff
@@ -66,11 +67,18 @@ class PurificationConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigError(f"tau must be in [0, 1], got {self.tau}")
+        self.anchor_res  # compiles, and so checks, every pattern
+
+    @cached_property
+    def anchor_res(self) -> tuple[re.Pattern, ...]:
+        """The anchor patterns compiled with re.MULTILINE, once per config."""
+        compiled = []
         for pattern in self.anchor_patterns:
             try:
-                re.compile(pattern)
+                compiled.append(re.compile(pattern, re.MULTILINE))
             except (re.error, OverflowError, RecursionError) as exc:
                 raise ConfigError(f"invalid anchor pattern {pattern!r}: {exc}") from exc
+        return tuple(compiled)
 
 
 @dataclass(frozen=True)
@@ -101,10 +109,6 @@ class Rejection:
 
 
 PurifyResult = Union[PurifiedInstance, Rejection]
-
-
-def _compile_patterns(cfg: PurificationConfig) -> list[re.Pattern]:
-    return [re.compile(p, re.MULTILINE) for p in cfg.anchor_patterns]
 
 
 def _anchor_excerpts(text: str, patterns: Sequence[re.Pattern]) -> list[str]:
@@ -142,14 +146,13 @@ def _anchor_excerpts(text: str, patterns: Sequence[re.Pattern]) -> list[str]:
 
 def scan_text_anchors(text: str, cfg: PurificationConfig | None = None) -> list[str]:
     """Anchor excerpts from one free-text blob (demo clients, ad-hoc scans)."""
-    cfg = cfg or PurificationConfig()
-    return _anchor_excerpts(text, _compile_patterns(cfg))
+    return _anchor_excerpts(text, (cfg or PurificationConfig()).anchor_res)
 
 
 def detect_anchors(triplet: RawTriplet, cfg: PurificationConfig) -> list[Anchor]:
     """Find diagnostic anchors in the issue body, issue comments, and PR
     discussion, recording each excerpt's source."""
-    patterns = _compile_patterns(cfg)
+    patterns = cfg.anchor_res
     anchors: list[Anchor] = []
     for excerpt in _anchor_excerpts(triplet.issue.body, patterns):
         anchors.append(Anchor(excerpt, "issue_body"))
@@ -172,7 +175,6 @@ class RuleBasedCommentClassifier:
 
     def __init__(self, cfg: PurificationConfig | None = None):
         self.cfg = cfg or PurificationConfig()
-        self._patterns = _compile_patterns(self.cfg)
         self._term_res = [
             re.compile(rf"\b{re.escape(term)}\w*", re.IGNORECASE)
             for term in self.cfg.technical_lexicon
@@ -184,7 +186,7 @@ class RuleBasedCommentClassifier:
             return False
         if _FENCED_CODE.search(body):
             return True
-        if any(p.search(body) for p in self._patterns):
+        if any(p.search(body) for p in self.cfg.anchor_res):
             return True
         if _FILE_PATH.search(body):
             return True

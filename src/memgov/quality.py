@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Protocol, Union
 
 from .cards import ExperienceCard, Violation, card_to_dict, parse_patch_digest, validate_schema
-from .distillation import CondensedThread, Distiller, DistillerRequest
+from .distillation import DIMENSION_FIELDS, CondensedThread, Distiller, DistillerRequest
 from .errors import ConfigError, MalformedOutputError
 from .providers import ChatProvider, PromptTemplate, extract_json_object, retry_call
 from .purification import PurifiedInstance
@@ -26,14 +26,7 @@ DEFAULT_GAMMA = 0.7
 DEFAULT_MAX_ITERATIONS = 3
 FEEDBACK_TRIGGER = 0.5  # dimensions scoring below this get targeted feedback
 
-DEFAULT_DIMENSIONS = (
-    "faithfulness-to-source",
-    "signal-quality",
-    "root-cause-evidence",
-    "strategy-actionability",
-    "digest-groundedness",
-    "verification-concreteness",
-)
+DEFAULT_DIMENSIONS = tuple(DIMENSION_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -196,17 +189,9 @@ class RuleBasedEvaluator:
 class ChatEvaluator:
     """LLM-backed checklist evaluator rendering an externalized template."""
 
-    def __init__(
-        self,
-        provider: ChatProvider,
-        template: PromptTemplate | None = None,
-        retries: int = 3,
-        backoff: float = 0.5,
-    ):
+    def __init__(self, provider: ChatProvider, template: PromptTemplate | None = None):
         self.provider = provider
         self.template = template or PromptTemplate.load("evaluate_card")
-        self.retries = retries
-        self.backoff = backoff
 
     def scores(
         self, card: ExperienceCard, instance: PurifiedInstance, dimensions: tuple[str, ...]
@@ -223,14 +208,11 @@ class ChatEvaluator:
                 ),
             }
         )
-        completion = retry_call(
-            lambda: self.provider.complete(prompt), retries=self.retries, backoff=self.backoff
-        )
+        completion = retry_call(lambda: self.provider.complete(prompt))
         data = extract_json_object(completion)
         out: dict[str, tuple[float, str]] = {}
-        for dim in dimensions:
-            if dim not in data:
-                raise MalformedOutputError(f"evaluator output missing dimension {dim!r}")
+        # A dimension missing from the output is left out: evaluate_card refuses it.
+        for dim in (d for d in dimensions if d in data):
             entry = data[dim]
             try:
                 score = float(entry["score"])

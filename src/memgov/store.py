@@ -275,8 +275,7 @@ class MemoryStore:
         return card.card_id
 
     def _append(self, card: ExperienceCard, vector: np.ndarray) -> None:
-        wide = vector.astype(np.float64)
-        norm = np.sqrt(np.vecdot(wide, wide))  # as _row_norms computes it
+        norm = _row_norms(vector[None])[0]
         if not 0.0 < norm < np.inf:
             raise UnembeddableTextError(
                 f"index text of card {card.card_id!r} embeds to the zero vector or a non-finite one"

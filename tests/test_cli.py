@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import signal
 import socket
@@ -14,13 +15,13 @@ import pytest
 import requests
 
 from memgov.audit import AuditLog
-from memgov.cards import card_from_dict, validate_schema
+from memgov.cards import IndexLayer, card_from_dict, validate_schema
 from memgov.cli import _providers, main
 from memgov.config import PipelineConfig, config_from_dict
 from memgov.distillation import RuleBasedDistiller
 from memgov.errors import ConfigError
 from memgov.ingestion import load_fixture_triplets
-from memgov.pipeline import run_govern
+from memgov.pipeline import GovernCounts, run_govern
 from memgov.quality import RuleBasedEvaluator
 from memgov.server import REQUEST_TIMEOUT_SECONDS, ToolService, make_http_server
 from memgov.store import MemoryStore
@@ -162,9 +163,61 @@ def test_serial_govern_pulls_an_item_only_after_writing_the_last_record(tmp_path
             distiller=RuleBasedDistiller(),
             evaluator=RuleBasedEvaluator(),
             audit=audit,
-            workers=1,
         )
     assert written_before_third == [2]
+
+
+class CyrillicIndexDistiller(RuleBasedDistiller):
+    """Gives issue 8's card an index layer with no ASCII letter or digit."""
+
+    def distill(self, request):
+        card = super().distill(request)
+        if card.source.issue != 8:
+            return card
+        words = "один два три четыре пять шесть семь восемь девять десять".split()
+        index = IndexLayer("сбой планировщика", tuple(f"ошибка номер {w}" for w in words))
+        return dataclasses.replace(card, index=index)
+
+
+class AcceptingEvaluator:
+    def scores(self, card, instance, dimensions):
+        return {dim: (1.0, "") for dim in dimensions}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_unembeddable_card_is_rejected_and_the_rest_indexed(tmp_path, small_fixture, workers):
+    out = tmp_path / "store"
+    with AuditLog(tmp_path / "audit.jsonl") as audit:
+        counts = run_govern(
+            load_fixture_triplets(small_fixture),
+            out,
+            PipelineConfig(workers=workers),
+            distiller=CyrillicIndexDistiller(),
+            evaluator=AcceptingEvaluator(),
+            audit=audit,
+        )
+        records = audit.entries
+    assert (counts.read, counts.qc_accepted, counts.deduped, counts.indexed) == (3, 3, 0, 2)
+    rejections = [r for r in records if "reason" in r]
+    assert rejections == [{"repo": "acme/widgets", "issue": 8, "pr": 1008, "reason": "unembeddable"}]
+    assert counts.indexed + len(rejections) == counts.read
+    store = MemoryStore.load(out)
+    assert [store.browse(i).source.issue for i in store.card_ids()] == [7, 9]
+
+
+def test_workers_flag_overrides_the_config(tmp_path, small_fixture, capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(
+        "memgov.cli.run_govern", lambda items, out, cfg, **kw: seen.append(cfg.workers) or GovernCounts()
+    )
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"workers": 3}))
+    for flags in ([], ["--workers", "2"]):
+        code, _, _ = run_cli(
+            capsys, "--config", str(config_path), *flags, "govern", str(small_fixture), str(tmp_path / "s")
+        )
+        assert code == 0
+    assert seen == [3, 2]
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -177,17 +230,9 @@ def test_bad_workers_flag_is_usage_error(tmp_path, small_fixture, capsys, worker
 
 
 @pytest.mark.parametrize("workers", [0, -3])
-def test_run_govern_rejects_workers_below_one(tmp_path, small_fixture, workers):
+def test_pipeline_config_rejects_workers_below_one(workers):
     with pytest.raises(ConfigError, match="workers"):
-        run_govern(
-            load_fixture_triplets(small_fixture),
-            tmp_path / "store",
-            PipelineConfig(),
-            distiller=RuleBasedDistiller(),
-            evaluator=RuleBasedEvaluator(),
-            workers=workers,
-        )
-    assert not (tmp_path / "store").exists()
+        PipelineConfig(workers=workers)
 
 
 @pytest.mark.parametrize(
@@ -234,6 +279,16 @@ def test_bad_config_value_is_data_error(tmp_path, small_fixture, capsys, config)
     code, _, err = run_cli(capsys, "--config", str(config_path), "govern", str(small_fixture), str(out))
     assert code == 2
     assert err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_removed_embedder_dimension_key_is_refused(tmp_path, small_fixture, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"embedder": {"id": "feature-hash-256", "dimension": 256}}))
+    out = tmp_path / "store"
+    code, _, err = run_cli(capsys, "--config", str(config_path), "govern", str(small_fixture), str(out))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'dimension'" in err
     assert not out.exists()
 
 
@@ -331,6 +386,14 @@ def test_select_malformed_line_cites_number(tmp_path, capsys):
     path.write_text('{"repo": "a/a", "stars": 1, "issues": 1, "pulls": 1}\n{"repo": "b/b"}\n')
     code, _, err = run_cli(capsys, "select", str(path))
     assert code == 2 and "line 2" in err
+
+
+def test_select_refuses_a_boolean_count(tmp_path, capsys):
+    path = tmp_path / "stats.jsonl"
+    path.write_text('{"repo": "a/a", "stars": true, "issues": 1, "pulls": 1}\n')
+    code, stdout, err = run_cli(capsys, "select", str(path))
+    assert code == 2 and stdout == ""
+    assert "stars" in err and "line 1" in err
 
 
 def test_select_undecodable_line_is_data_error(tmp_path, capsys):

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import memgov.config
 from memgov.config import (
     EmbedderConfig,
     PathsConfig,
@@ -65,3 +69,15 @@ def test_config_from_dict_returns_a_config_or_raises_config_error(data):
     except ConfigError:
         return
     assert isinstance(cfg, PipelineConfig)
+
+
+def _first_json_object(text: str) -> dict:
+    return json.JSONDecoder().raw_decode(text, text.index("{"))[0]
+
+
+def test_documented_example_configs_load():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    for example in (block, memgov.config.__doc__.split("Example:", 1)[1]):
+        assert isinstance(config_from_dict(_first_json_object(example)), PipelineConfig)

@@ -213,7 +213,7 @@ def test_chat_distiller_surfaces_double_malformed(instance):
 
 def test_chat_distiller_retries_transient_provider_errors(instance):
     provider = FakeProvider([ProviderError("503"), GOOD_JSON])
-    card = ChatDistiller(provider, backoff=0.0).distill(request_for(instance))
+    card = ChatDistiller(provider).distill(request_for(instance))
     assert card.resolution.root_cause == "missing guard"
 
 

@@ -94,3 +94,28 @@ def test_load_fixture_triplets_missing_file(tmp_path):
 
 def test_triplet_serde_round_trip(triplet):
     assert triplet_from_dict(triplet_row(triplet)) == triplet
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("pr", "merged", "false"),
+        ("pr", "merged", 0),
+        ("issue", "number", 3.9),
+        ("issue", "number", True),
+        ("issue", "number", "3"),
+        ("pr", "number", 3.0),
+        ("pr", "number", True),
+        ("pr", "linked_issue_refs", [True]),
+        ("pr", "linked_issue_refs", [3.9]),
+        ("pr", "linked_issue_refs", ["3"]),
+    ],
+)
+def test_mistyped_field_is_an_item_error_naming_it(tmp_path, triplet, section, key, value):
+    row = triplet_row(triplet)
+    row[section][key] = value
+    path = tmp_path / "triplets.jsonl"
+    path.write_text(json.dumps(row) + "\n")
+    [item] = load_fixture_triplets(path)
+    assert isinstance(item, ItemError) and item.line == 1
+    assert f"(field: {section}.{key})" in item.message

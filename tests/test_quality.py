@@ -187,7 +187,7 @@ def test_provider_errors_do_not_consume_iterations(instance):
     from test_distillation import GOOD_JSON, FakeProvider
 
     provider = FakeProvider([ProviderError("503"), GOOD_JSON])
-    distiller = ChatDistiller(provider, backoff=0.0)
+    distiller = ChatDistiller(provider)
     evaluator = ScriptedEvaluator([0.9])
     outcome = refine_loop(instance, condensed_for(instance), distiller, evaluator, QcConfig())
     assert isinstance(outcome, QcAccepted)
