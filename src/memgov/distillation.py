@@ -14,6 +14,7 @@ reproduced verbatim from the base draft.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -143,12 +144,19 @@ def purify_content(instance: PurifiedInstance) -> CondensedThread:
     )
 
 
-def _scrub_identifiers(text: str, repo: str) -> str:
-    """Strip repo-specific identifiers from index-layer text."""
-    text = _HEX_RUN.sub("", text)
-    if repo:
-        text = re.compile(re.escape(repo), re.IGNORECASE).sub("", text)
-    return " ".join(text.split())
+def _identifier_scrubber(repo: str) -> Callable[[str], str]:
+    """A function that strips repo-specific identifiers (hex runs and the
+    repository name, in any case) from index-layer text; the name's pattern
+    is compiled once, not per text."""
+    repo_name = re.compile(re.escape(repo), re.IGNORECASE) if repo else None
+
+    def scrub(text: str) -> str:
+        text = _HEX_RUN.sub("", text)
+        if repo_name is not None:
+            text = repo_name.sub("", text)
+        return " ".join(text.split())
+
+    return scrub
 
 
 def _keywords(text: str) -> list[str]:
@@ -202,9 +210,10 @@ class RuleBasedDistiller:
 
     def distill(self, request: DistillerRequest) -> ExperienceCard:
         anchor_names = self._anchor_tokens(request)
-        fields = self._base_fields(request, anchor_names)
+        scrub = _identifier_scrubber(request.instance.triplet.repo)
+        fields = self._base_fields(request, anchor_names, scrub)
         if request.feedback:
-            improved = self._improved_fields(request, fields, anchor_names)
+            improved = self._improved_fields(request, fields, anchor_names, scrub)
             for name in self._feedback_fields(request.feedback):
                 fields[name] = improved[name]
         return _card(request, fields)
@@ -235,10 +244,13 @@ class RuleBasedDistiller:
                     tokens.append(lower)
         return tokens
 
-    def _scrub(self, request: DistillerRequest, text: str) -> str:
-        return _scrub_identifiers(text, request.instance.triplet.repo)
-
-    def _signals(self, request: DistillerRequest, anchor_names: list[str], extended: bool) -> list[str]:
+    @staticmethod
+    def _signals(
+        request: DistillerRequest,
+        anchor_names: list[str],
+        scrub: Callable[[str], str],
+        extended: bool,
+    ) -> list[str]:
         """Anchor tokens plus title keywords; diff-path tokens pad up to the
         minimum, and anything past the maximum is truncated."""
         triplet = request.instance.triplet
@@ -250,12 +262,12 @@ class RuleBasedDistiller:
             for kw in _keywords(triplet.issue.body):
                 if kw not in candidates:
                     candidates.append(kw)
-        signals = [tok for tok in (self._scrub(request, t) for t in candidates) if tok]
+        signals = [tok for tok in map(scrub, candidates) if tok]
         signals = signals[:SIGNALS_MAX]
         for tok in _path_tokens(request.instance.diff.changed_paths()):
             if len(signals) >= SIGNALS_MIN:
                 break
-            tok = self._scrub(request, tok)
+            tok = scrub(tok)
             if tok and tok not in signals:
                 signals.append(tok)
         filler = 1
@@ -266,12 +278,14 @@ class RuleBasedDistiller:
             filler += 1
         return signals
 
-    def _base_fields(self, request: DistillerRequest, anchor_names: list[str]) -> dict:
+    def _base_fields(
+        self, request: DistillerRequest, anchor_names: list[str], scrub: Callable[[str], str]
+    ) -> dict:
         triplet = request.instance.triplet
         diff = request.instance.diff
         paths = diff.changed_paths()
         stats = hunk_stats(diff)
-        summary = self._scrub(request, triplet.issue.title.strip()) or "unspecified failure"
+        summary = scrub(triplet.issue.title.strip()) or "unspecified failure"
 
         area_lines = [f"AREA: {path}" for path in paths] or ["AREA: (no files changed)"]
         chunk_lines = []
@@ -311,26 +325,32 @@ class RuleBasedDistiller:
 
         return {
             "problem_summary": summary,
-            "signals": self._signals(request, anchor_names, extended=False),
+            "signals": self._signals(request, anchor_names, scrub, extended=False),
             "root_cause": root_cause,
             "fix_strategy": fix_strategy,
             "patch_digest": digest,
             "verification": verification,
         }
 
-    def _improved_fields(self, request: DistillerRequest, base: dict, anchor_names: list[str]) -> dict:
+    def _improved_fields(
+        self,
+        request: DistillerRequest,
+        base: dict,
+        anchor_names: list[str],
+        scrub: Callable[[str], str],
+    ) -> dict:
         """Regeneration pass: the base templates, fed with more source material."""
         fields = dict(base)
         triplet = request.instance.triplet
         anchors = request.instance.anchors
 
-        fields["signals"] = self._signals(request, anchor_names, extended=True)
+        fields["signals"] = self._signals(request, anchor_names, scrub, extended=True)
         first_anchor = anchors[0].text.split("\n")[-1].strip() if anchors else ""
         if first_anchor:
-            scrubbed = self._scrub(request, first_anchor)
+            scrubbed = scrub(first_anchor)
             if scrubbed:
                 fields["problem_summary"] = f"{fields['problem_summary']} ({scrubbed})"
-        evidence = "; ".join(self._scrub(request, a.text.split(chr(10))[-1]) for a in anchors[:2])
+        evidence = "; ".join(scrub(a.text.split(chr(10))[-1]) for a in anchors[:2])
         if evidence:
             fields["root_cause"] = f"{fields['root_cause']}; evidence: {evidence}"
         fields["fix_strategy"] += "; validated against the reported trigger before merge"

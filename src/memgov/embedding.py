@@ -22,6 +22,10 @@ from typing import Protocol
 import numpy as np
 
 DEFAULT_DIMENSION = 256
+# The largest dimension HashingEmbedder accepts: embed counts tokens in 2 * d
+# int64 bins, so a mistyped feature-hash-N id is refused instead of asking
+# for memory on every call.
+MAX_DIMENSION = 65536
 
 _TOKEN = re.compile(r"[A-Za-z0-9]+")
 # Maps every byte but ASCII [A-Za-z0-9] to a space. Every byte of a non-ASCII
@@ -59,8 +63,8 @@ class HashingEmbedder:
     """Deterministic signed feature hashing at a fixed dimension."""
 
     def __init__(self, dimension: int = DEFAULT_DIMENSION):
-        if dimension < 1:
-            raise ValueError("dimension must be >= 1")
+        if not 1 <= dimension <= MAX_DIMENSION:
+            raise ValueError(f"dimension must be in [1, {MAX_DIMENSION}], got {dimension}")
         self._dimension = dimension
         self._cache: dict[bytes, int] = {}
         self._cache_lock = threading.Lock()
@@ -105,6 +109,7 @@ class HashingEmbedder:
 
 
 def default_embedder_for(embedder_id: str) -> HashingEmbedder | None:
-    """Reconstruct the default embedder from a manifest id, if it is one."""
+    """Reconstruct the default embedder from a manifest id, if it is one;
+    ValueError when its dimension is out of range."""
     m = re.fullmatch(r"feature-hash-(\d+)", embedder_id)
     return HashingEmbedder(int(m.group(1))) if m else None

@@ -215,9 +215,11 @@ class ChatEvaluator:
         for dim in (d for d in dimensions if d in data):
             entry = data[dim]
             try:
-                score = float(entry["score"])
-                feedback = str(entry.get("feedback", ""))
-            except (TypeError, KeyError, ValueError) as exc:
+                score, feedback = entry["score"], str(entry.get("feedback", ""))
+                if isinstance(score, bool) or not isinstance(score, (int, float)):
+                    raise TypeError(f"score must be a JSON number, got {score!r}")
+                score = float(score)  # OverflowError: an integer past float's range
+            except (TypeError, KeyError, OverflowError) as exc:
                 raise MalformedOutputError(f"evaluator output malformed for {dim!r}: {exc}") from exc
             out[dim] = (score, feedback)
         return out

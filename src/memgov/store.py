@@ -36,8 +36,9 @@ one pass; it decodes no card, and a card is decoded when search or browse
 first returns it. A malformed card line therefore surfaces as
 StoreFormatError when it is first read.
 
-In memory, search needs one float32 (capacity, dimension) matrix and one
-float64 norm per row, nothing else. The matrix is column-major, so each
+In memory, search needs one float32 (capacity, dimension) matrix and, per
+row, its float64 norm and the float32 reciprocal of that norm, plus the
+least and greatest norm; nothing else. The matrix is column-major, so each
 coordinate's column is one contiguous run of floats. Load and save stream
 vectors.bin in blocks of rows, transposing between its row-major layout and
 the column-major matrix, and never hold the whole file; the on-disk format
@@ -47,18 +48,21 @@ zero, NaN or infinite row, and index_card a vector that is one.
 
 Search is a filter-then-verify scan that returns exactly the hits and
 similarity floats of a float64 einsum scan of every row. The filter scores
-every row in float32 and keeps the rows within 2 * beta of the k-th largest
-float32 score, where beta bounds the float32 score's distance from the
-exact one for every row, whatever the summation order. It reads only the
-columns of the query's nonzero coordinates, so its cost is the query's
-nonzero count times the row count; a feature-hashed query has about 13
-nonzeros of 256. Any row that reaches the exact k-th similarity
-scores at least it minus beta, and the float32 k-th score is at most it
-plus beta, so the candidates hold the exact top k and every row tied with
-the k-th. The exact pass gathers the candidates into row-major blocks of
-at most 1,024 rows and scores them with the float64 einsum; its per-row
-reduction is a pure function of the row, so a gathered row scores
-bit-identically to the same row in an all-rows scan.
+every row in float32, in place, and keeps the rows within 2 * beta of the
+k-th largest float32 score, where beta bounds the float32 score's distance
+from the exact one for every row, whatever the summation order. It reads
+only the columns of the query's nonzero coordinates, so its cost is the
+query's nonzero count times the row count; a feature-hashed query has
+about 13 nonzeros of 256. It finds the k-th largest score without sorting
+or partitioning every row: the k-th largest of every 32nd row's score is a
+floor under it, and only the rows within 2 * beta of that floor (a few
+hundred at 135,000 rows) are partitioned. Any row that reaches the exact
+k-th similarity scores at least it minus beta, and the float32 k-th score
+is at most it plus beta, so the candidates hold the exact top k and every
+row tied with the k-th. The exact pass gathers the candidates into
+row-major blocks of at most 1,024 rows and scores them with the float64
+einsum; its per-row reduction is a pure function of the row, so a gathered
+row scores bit-identically to the same row in an all-rows scan.
 MemoryStore._candidates gives beta and the proof.
 """
 
@@ -97,6 +101,11 @@ _CARD_ID_PREFIX = b'{"card_id": "'  # how card_to_dict lines start once dumped
 _CHUNK_ROWS = 1024  # rows per block when load and save stream vectors.bin
 _U32 = 2.0**-24  # unit roundoff of float32
 _U64 = 2.0**-53  # unit roundoff of float64
+_F32_MAX = float(np.finfo(np.float32).max)
+# The filter takes a floor under the k-th largest score from every this-many
+# rows' scores. At 135,000 rows, on one CPU of a 2-vCPU VM, the selection's
+# median was 86 us at 32 and within 6 us of that at 16 and at 64.
+_SAMPLE_STRIDE = 32
 
 
 class _Crc32:
@@ -183,6 +192,25 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(wide, wide))
 
 
+def _inverse_norms(norms: np.ndarray) -> np.ndarray:
+    """fl32(1 / N) of each float64 norm N, held at float32's largest finite
+    value where it would overflow; _candidates scores no row through a held
+    value."""
+    return np.minimum(1.0 / norms, _F32_MAX).astype(np.float32)
+
+
+def _at_most(x: float) -> np.float32:
+    """The greatest float32 not above x: a float32 a has a >= x exactly
+    when a >= _at_most(x), and numpy compares a float32 array with it
+    without widening the array."""
+    y = np.float32(x)
+    return y if float(y) <= x else np.nextafter(y, np.float32(-np.inf))
+
+
+def _kth_largest(values: np.ndarray, k: int) -> float:
+    return float(np.partition(values, len(values) - k)[len(values) - k])
+
+
 def _decode_line(line: bytes | bytearray, row: int) -> ExperienceCard:
     try:
         return card_from_dict(json.loads(line))
@@ -227,9 +255,10 @@ class MemoryStore:
 
     The cards are held as the bytes of cards.jsonl, and each is decoded on
     first read; decoded cards are memoised. Its vector is a row of one
-    column-major float32 matrix, whose float64 row norms are kept next to
-    it. Reads (search, browse) are safe to run concurrently over a loaded
-    store; writes (index_card, save) require exclusive access.
+    column-major float32 matrix, whose float64 row norms, their float32
+    reciprocals and their extremes are kept next to it. Reads (search,
+    browse) are safe to run concurrently over a loaded store; writes
+    (index_card, save) require exclusive access.
     """
 
     def __init__(self, embedder: Embedder):
@@ -240,6 +269,8 @@ class MemoryStore:
         # Column-major, rows >= count: self._matrix.T is row-major (dimension, rows).
         self._matrix = np.zeros((0, embedder.dimension), dtype=np.float32, order="F")
         self._norms = np.zeros(0)  # float64 norm per matrix row
+        self._inv_norms = np.zeros(0, dtype=np.float32)  # _inverse_norms(self._norms)
+        self._norm_min, self._norm_max = np.inf, 0.0  # over the rows, not the capacity
         self._positions: dict[str, int] = {}  # card id -> row
         self._cards: dict[str, ExperienceCard] = {}  # decoded cards by id
 
@@ -275,7 +306,7 @@ class MemoryStore:
         return card.card_id
 
     def _append(self, card: ExperienceCard, vector: np.ndarray) -> None:
-        norm = _row_norms(vector[None])[0]
+        norm = float(_row_norms(vector[None])[0])
         if not 0.0 < norm < np.inf:
             raise UnembeddableTextError(
                 f"index text of card {card.card_id!r} embeds to the zero vector or a non-finite one"
@@ -289,11 +320,17 @@ class MemoryStore:
             matrix[:row] = self._matrix[:row]
             norms = np.empty(capacity)
             norms[:row] = self._norms[:row]
+            inv_norms = np.empty(capacity, dtype=np.float32)
+            inv_norms[:row] = self._inv_norms[:row]
             ends = np.empty(capacity, dtype=np.int64)
             ends[:row] = self._ends[:row]
-            self._matrix, self._norms, self._ends = matrix, norms, ends
+            self._matrix, self._norms, self._inv_norms = matrix, norms, inv_norms
+            self._ends = ends
         self._matrix[row] = vector
         self._norms[row] = norm
+        self._inv_norms[row] = min(1.0 / norm, _F32_MAX)  # as _inverse_norms
+        self._norm_min = min(self._norm_min, norm)
+        self._norm_max = max(self._norm_max, norm)
         self._text += json.dumps(card_to_dict(card)).encode()
         self._text += b"\n"
         self._ends[row] = len(self._text) - 1
@@ -376,30 +413,45 @@ class MemoryStore:
         """The rows that may hold the exact top k for the unit query p =
         q / qnorm, ascending; every row when all must be scored exactly.
 
-        Each row x is scored a = clip(fl32(x . p32) / N) in float32,
-        where p32 is p rounded to float32 and N the row's stored norm; the
-        exact pass scores s = clip(fl64(x . q) / (N * qnorm)). Whatever the
-        summation order or BLAS thread count, |a - s| <= beta for every
-        row (Higham, Accuracy and Stability, section 3.1, plus
-        Cauchy-Schwarz), with gamma_d(u) = d*u / (1 - d*u) and
+        Each row x is scored a = clip(fl32(fl32(x . p32) * r)) in float32,
+        where p32 is p rounded to float32, N the row's stored norm and
+        r = fl32(fl64(1 / N)) its stored reciprocal; the exact pass scores
+        s = clip(fl64(x . q) / (N * qnorm)). Whatever the summation order or
+        BLAS thread count, |a - s| <= beta for every row (Higham, Accuracy
+        and Stability, section 3.1, plus Cauchy-Schwarz), with gamma_d(u) =
+        d*u / (1 - d*u) and
 
             beta = (1 + 2^-20) * (gamma_d(2^-24) * |p32| + |p32 - p|
                                   + gamma_d(2^-53))
-                   + d * (2^-149 + 2^-1074 / qnorm) / min N + 2^-40.
+                   + d * (2^-149 + 2^-1074 / qnorm) / min N + 2^-40 + 2^-21.
 
         The first line is the rounding of the float32 dot product, of p to
         float32 and of the float64 dot product; its factor covers the
         float64 rounding of the norms, which changes each term by a
         relative (2d + 10) * 2^-53 < 2^-27 while gamma_d(2^-24) < 1, i.e.
-        d < 2^23. The second line covers underflow of the d products in
-        float32 and in float64 (gradual underflow errs by at most the
-        smallest subnormal per product), and the divisions and the
-        subtraction in the cut below, each a few 2^-53. The filter skips
-        p32's zero coordinates and sums the other products in coordinate
-        order, each product and each partial sum rounded to float32. A
-        skipped product x_j * 0 is an exact zero (rows are finite), so this
-        is the float32 dot in one more summation order, and the bound holds
-        as it stands.
+        d < 2^23. Then 2^-149 and 2^-1074 cover underflow of the d products
+        in float32 and in float64 (gradual underflow errs by at most the
+        smallest subnormal per product), and 2^-40 the float64 divisions of
+        the exact pass and the subtractions in the cuts below, each a few
+        2^-53. These terms, beta0, bound the distance from s of the
+        unrounded t = fl32(x . p32) / N, clipped. The filter skips p32's
+        zero coordinates and sums the other products in coordinate order,
+        each product and each partial sum rounded to float32. A skipped
+        product x_j * 0 is an exact zero (rows are finite), so this is the
+        float32 dot in one more summation order, and the bound holds as it
+        stands.
+
+        2^-21 covers the scaling. The filter runs only while every N lies in
+        [2^-126, 2^126], so r is a normal float32 within a relative
+        2^-24 + 2^-53 of 1 / N, and the product adds a relative 2^-24 and,
+        if it underflows, an absolute 2^-150. |p| <= 1 + 2^-29 for d < 2^23,
+        so |p32| < 1 + 2^-23, and |t| <= |p32| + beta0 < 2 + 2^-22 since
+        beta < 1. The scaled score thus errs from t by at most
+        (2 + 2^-22) * (2^-23 + 2^-52) + 2^-150 < 2^-22 + 2^-43 < 2^-21, and
+        clipping, which moves no two values further apart, keeps that.
+        The overflow test below already gives max N < 2^126 when
+        |p32| >= 1; rounding p to float32 can leave |p32| just short of 1,
+        so the range of N is tested too, against cached extremes.
 
         Let S_k be the exact k-th largest s and A_k the k-th largest a.
         A row with s >= S_k has a >= S_k - beta, and A_k <= S_k + beta
@@ -407,6 +459,14 @@ class MemoryStore:
         a >= A_k - 2 beta and is a candidate. Candidates thus include
         every exact top-k row and every row tied with the k-th, and the
         k-th largest exact score among them is S_k.
+
+        A_k is found in two stages, without partitioning every row. Let F
+        be the k-th largest a of every _SAMPLE_STRIDE-th row. Those k rows score at
+        least F, so F <= A_k. The rows C1 with a >= F - 2 beta include
+        every row with a >= A_k, so the k-th largest a in C1 is A_k; and
+        A_k - 2 beta >= F - 2 beta, so the rows of C1 with
+        a >= A_k - 2 beta are exactly the candidates above. When the
+        sample has fewer than k rows, C1 is every row.
         """
         n = len(self._ids)
         if k >= n:
@@ -414,14 +474,19 @@ class MemoryStore:
         d = self.dimension
         p32 = p.astype(np.float32)
         p32_norm = float(np.linalg.norm(p32.astype(np.float64)))
-        norms = self._norms[:n]
         beta = (1.0 + 2.0**-20) * (
             _gamma(d, _U32) * p32_norm + float(np.linalg.norm(p32 - p)) + _gamma(d, _U64)
-        ) + d * (2.0**-149 + 2.0**-1074 / qnorm) / norms.min() + 2.0**-40
+        ) + d * (2.0**-149 + 2.0**-1074 / qnorm) / self._norm_min + 2.0**-40 + 2.0**-21
         # Scores lie in [-1, 1], so beta >= 1 filters nothing. With beta < 1,
         # partial sums of the float32 dot stay below 2 * |x| * |p32|, which
-        # the second test keeps inside float32's range.
-        if not beta < 1.0 or 2.0 * float(norms.max()) * p32_norm >= 2.0**127:
+        # the last test keeps inside float32's range; the middle two keep
+        # every reciprocal normal.
+        if not (
+            beta < 1.0
+            and 2.0**-126 <= self._norm_min
+            and self._norm_max <= 2.0**126
+            and 2.0 * self._norm_max * p32_norm < 2.0**127
+        ):
             return np.arange(n)
         columns = self._matrix.T  # row-major (d, capacity); a view, never a copy
         # Term at a time over the query's nonzero coordinates, each a
@@ -429,10 +494,15 @@ class MemoryStore:
         dot = np.zeros(n, dtype=np.float32)
         for j in np.flatnonzero(p32).tolist():
             dot += columns[j, :n] * p32[j]
-        approx = dot / norms
-        np.clip(approx, -1.0, 1.0, out=approx)
-        kth = np.partition(approx, n - k)[n - k]
-        return np.flatnonzero(approx >= kth - 2.0 * beta)
+        dot *= self._inv_norms[:n]
+        np.clip(dot, -1.0, 1.0, out=dot)
+        rows, scores = None, dot  # C1, every row until the sample narrows it
+        sample = dot[::_SAMPLE_STRIDE]
+        if len(sample) >= k:
+            rows = np.flatnonzero(dot >= _at_most(_kth_largest(sample, k) - 2.0 * beta))
+            scores = dot[rows]
+        keep = scores >= _at_most(_kth_largest(scores, k) - 2.0 * beta)
+        return np.flatnonzero(keep) if rows is None else rows[keep]
 
     def save(self, directory: str | Path) -> None:
         """Persist cards, vectors, and manifest in format 3; load() restores
@@ -479,7 +549,10 @@ class MemoryStore:
         embedder_id = manifest["embedder_id"]
 
         if embedder is None:
-            embedder = default_embedder_for(embedder_id)
+            try:
+                embedder = default_embedder_for(embedder_id)
+            except ValueError as exc:
+                raise StoreFormatError(f"manifest.json embedder_id {embedder_id!r}: {exc}") from exc
             if embedder is None:
                 raise StoreFormatError(
                     f"store was built with embedder {embedder_id!r}; pass that embedder to load()"
@@ -521,7 +594,9 @@ class MemoryStore:
         store = cls(embedder)
         store._ids, store._text, store._cards = ids, text, cards
         store._ends = np.array(ends, dtype=np.int64)
-        store._matrix, store._norms = matrix, norms
+        store._matrix, store._norms, store._inv_norms = matrix, norms, _inverse_norms(norms)
+        if count:
+            store._norm_min, store._norm_max = float(norms.min()), float(norms.max())
         store._positions = dict(zip(ids, range(count)))
         if len(store._positions) != count:
             repeated = next(i for row, i in enumerate(ids) if store._positions[i] != row)

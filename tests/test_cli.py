@@ -248,6 +248,7 @@ def test_pipeline_config_rejects_workers_below_one(workers):
         {"purification": {"anchor_patterns": 5}},
         {"embedder": {"id": 5}},
         {"embedder": {"id": "nope"}},
+        {"embedder": {"id": "feature-hash-100000"}},
         {"qc": {"max_iterations": 2.5}},
         {"qc": {"dimensions": "abc"}},
         {"provider": {"max_inflight": 0}},
@@ -265,6 +266,7 @@ def test_pipeline_config_rejects_workers_below_one(workers):
         "anchor-patterns-int",
         "embedder-id-int",
         "embedder-id-unknown",
+        "embedder-id-past-max-dimension",
         "max-iterations-float",
         "dimensions-string",
         "max-inflight-zero",
@@ -503,6 +505,18 @@ def test_malformed_manifest_is_data_error(built_store, capsys, command, manifest
     assert code == 2
     assert stdout == ""
     assert err.startswith("error: manifest.json") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["search", "browse"])
+@pytest.mark.parametrize("embedder_id", ["feature-hash-0", "feature-hash-100000"])
+def test_manifest_naming_a_refused_embedder_is_data_error(built_store, capsys, command, embedder_id):
+    path = built_store / "manifest.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "embedder_id": embedder_id}))
+    code, stdout, err = run_cli(capsys, command, str(built_store), "pipeline failure")
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: manifest.json") and err.count("\n") == 1
+    assert embedder_id in err
 
 
 @pytest.fixture

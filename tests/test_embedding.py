@@ -12,12 +12,28 @@ from hypothesis import strategies as st
 from memgov.embedding import (
     _TOKEN,
     DEFAULT_DIMENSION,
+    MAX_DIMENSION,
     TOKEN_CACHE_SIZE,
     HashingEmbedder,
     default_embedder_for,
 )
 
 DISTINCT_TOKENS = " ".join(f"tok{i}" for i in range(100_000))
+
+
+@pytest.mark.parametrize("dimension", [0, MAX_DIMENSION + 1, 10**10])
+def test_dimension_outside_the_accepted_range_is_refused(dimension):
+    with pytest.raises(ValueError, match="dimension"):
+        HashingEmbedder(dimension)
+    with pytest.raises(ValueError, match="dimension"):
+        default_embedder_for(f"feature-hash-{dimension}")
+    with pytest.raises(ValueError, match="dimension"):
+        HashingEmbedder(-dimension - 1)
+
+
+def test_largest_accepted_dimension_embeds():
+    v = default_embedder_for(f"feature-hash-{MAX_DIMENSION}").embed("null pointer")
+    assert v.shape == (MAX_DIMENSION,) and np.count_nonzero(v) == 2
 
 
 def test_same_text_embeds_identically():

@@ -244,3 +244,32 @@ def test_chat_evaluator_rejects_missing_dimension(instance, card):
     provider = FakeProvider([payload])
     with pytest.raises(MalformedOutputError):
         evaluate_card(card, instance, ChatEvaluator(provider), cfg)
+
+
+@pytest.mark.parametrize(
+    "score",
+    [True, False, "0.9", None, [0.9], 10**400],
+    ids=["true", "false", "string", "null", "list", "int-past-float"],
+)
+def test_chat_evaluator_refuses_a_score_that_is_not_a_json_number(instance, card, score):
+    import json
+
+    from test_distillation import FakeProvider
+
+    cfg = QcConfig()
+    scores = {d: {"score": 0.75, "feedback": "fine"} for d in cfg.dimensions}
+    scores[cfg.dimensions[-1]]["score"] = score
+    provider = FakeProvider([json.dumps(scores)])
+    with pytest.raises(MalformedOutputError, match=cfg.dimensions[-1]):
+        evaluate_card(card, instance, ChatEvaluator(provider), cfg)
+
+
+def test_chat_evaluator_takes_an_integer_score(instance, card):
+    import json
+
+    from test_distillation import FakeProvider
+
+    cfg = QcConfig()
+    payload = json.dumps({d: {"score": 1, "feedback": "fine"} for d in cfg.dimensions})
+    report = evaluate_card(card, instance, ChatEvaluator(FakeProvider([payload])), cfg)
+    assert report.aggregate == 1.0

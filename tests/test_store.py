@@ -1005,3 +1005,97 @@ def test_a_last_line_without_newline_loads_and_grows(tmp_path):
     make_store(cards).save(tmp_path / "fresh")
     for name in ("cards.jsonl", "vectors.bin", "manifest.json"):
         assert (tmp_path / "grown" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
+@st.composite
+def sampled_cut_cases(draw):
+    """Stores of up to 3,000 rows, where the filter takes its floor from
+    every 32nd row. Rows are copies of a few seeds: exact twins, scaled
+    copies (norms from 1e-3 to 1e3 of the seed's) and one-ulp neighbours,
+    so ties and near-ties sit at every rank; the query is a seed, its
+    neighbour or a random vector. One row may be planted with a norm
+    outside [2^-126, 2^126], where the filter must give way to the exact
+    pass. Card ids are in shuffled order."""
+    d = draw(st.sampled_from([1, 7, 256]))
+    n = draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seeds = rng.standard_normal((int(rng.integers(1, 9)), d)).astype(np.float32)
+    seeds[seeds == 0] = 1.0
+    rows = seeds[rng.integers(len(seeds), size=n)]
+    kinds = rng.choice(["own", "twin", "scaled", "ulp"], size=n)
+    own = kinds == "own"
+    rows[own] = rng.standard_normal((int(own.sum()), d)).astype(np.float32)
+    scaled = np.flatnonzero(kinds == "scaled")
+    rows[scaled] *= rng.choice(np.float32([1e-3, 0.25, 3.0, 1e3]), size=(len(scaled), 1))
+    for i in np.flatnonzero(kinds == "ulp").tolist():
+        c = int(rng.integers(d))
+        rows[i, c] = np.nextafter(rows[i, c], np.float32(np.inf))
+    rows[rows == 0] = 1.0
+    guard = str(rng.choice(["none", "tiny", "huge"], p=[0.7, 0.15, 0.15]))
+    if guard != "none":
+        i = int(rng.integers(n))
+        scale = 2.0**-131 if guard == "tiny" else 2.0**126.5
+        rows[i] = (rows[i] / np.linalg.norm(rows[i].astype(np.float64)) * scale).astype(np.float32)
+        rows[i, np.abs(rows[i]).argmax()] = np.float32(scale)  # nonzero after rounding
+    query = draw(st.sampled_from(["seed", "near", "random"]))
+    q = rng.standard_normal(d).astype(np.float32)
+    if query != "random":
+        q = seeds[int(rng.integers(len(seeds)))].copy()
+        if query == "near":
+            q[0] = np.nextafter(q[0], np.float32(-np.inf))
+    issues = [int(i) for i in rng.permutation(np.arange(1, n + 1))]
+    return rows, q, guard, issues, draw(st.integers(1, n + 2)), draw(st.booleans())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=sampled_cut_cases())
+def test_sampled_cut_search_equals_all_rows_reference(case, tmp_path_factory):
+    rows, q, guard, issues, k_drawn, reload = case
+    n = len(rows)
+    store = table_store(list(rows), issues)
+    store.embedder.table["the query"] = q
+    sims = [s for _, s in reference_search(store, "the query", n)]  # descending
+    # k on both sides of n = 32 k, where the floor's sample has k rows, and
+    # at near-ties, where the k-th and the next exact score are within 2^-20.
+    sample = -(-n // 32)
+    near = [i for i in range(1, n) if sims[i - 1] - sims[i] <= 2.0**-20][:3]
+    ks = sorted({k for k in (1, 2, sample - 1, sample, sample + 1, n, n + 2, k_drawn, *near) if k >= 1})
+    for k in ks:
+        assert bit_hits(store, "the query", k) == bit_reference(store, "the query", k)
+    if guard != "none" and n > 1:  # the filter gives way: every row is a candidate
+        qnorm = float(np.linalg.norm(q.astype(np.float64)))
+        assert len(store._candidates(q.astype(np.float64) / qnorm, qnorm, 1)) == n
+    if reload:  # the reciprocals and extremes kept across load and index_card
+        cards = [store.browse(card_id) for card_id in store.card_ids()]
+        split = len(cards) // 2
+        first = MemoryStore(store.embedder)
+        for card in cards[:split]:
+            first.index_card(card)
+        path = tmp_path_factory.mktemp("sampled")
+        first.save(path)
+        grown = MemoryStore.load(path, store.embedder)
+        for card in cards[split:]:
+            grown.index_card(card)
+        assert grown._inv_norms[:n].tobytes() == store._inv_norms[:n].tobytes()
+        assert (grown._norm_min, grown._norm_max) == (store._norm_min, store._norm_max)
+        for k in ks:
+            assert bit_hits(grown, "the query", k) == bit_hits(store, "the query", k)
+
+
+def test_search_allocates_no_row_sized_float64_array():
+    # The filter scores in one float32 array and a float32 product per
+    # column; a float64 array of n scores (8 bytes a row) does not fit.
+    n = 20_000
+    rng = np.random.default_rng(5)
+    store = table_store(list(rng.standard_normal((n, 16)).astype(np.float32)))
+    store.embedder.table["the query"] = rng.standard_normal(16).astype(np.float32)
+    for k in (1, 10, 100):
+        store.search("the query", k)  # decode the hits' cards before measuring
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            store.search("the query", k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 10 * n + 64 * 1024
