@@ -4,6 +4,12 @@ Commands: govern, select, purify, search, browse, serve, demo-agent, stats.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 infrastructure error.
 --json output modes emit exactly the tool server's response bodies, so
 scripted clients can swap the CLI and the HTTP API freely.
+
+Each command imports only what it runs: search, browse and stats load the
+store but neither the governance pipeline nor the HTTP server, and serve
+adds the server. govern reaches the pipeline through run_govern and
+load_fixture_triplets on this module, thin functions that import the real
+ones on first call, so that a tracer or a test can still replace them here.
 """
 
 from __future__ import annotations
@@ -17,23 +23,14 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .audit import AuditLog
 from .cards import card_to_dict
-from .config import PipelineConfig, load_config
-from .distillation import RuleBasedDistiller
 from .embedding import _TOKEN
 from .errors import ConfigError, DataError, MemgovError, ProviderError, StoreError
-from .ingestion import RepoStats, load_fixture_triplets
-from .pipeline import run_govern, run_purify_only
-from .providers import ENV_LLM_ENDPOINT, HttpChatProvider
-from .purification import scan_text_anchors
-from .quality import RuleBasedEvaluator
-from .selection import select_top_m
-from .store import DEFAULT_TOP_K, MemoryStore, read_manifest, search_hit_to_dict
+from .store import DEFAULT_TOP_K, MemoryStore, check_manifest, read_manifest, search_hit_to_dict
 
-# .server (and with it selectors, email.utils and uuid) is imported only by
-# serve and demo-agent, so every other command starts without it.
 if TYPE_CHECKING:
+    from .config import PipelineConfig
+    from .ingestion import RepoStats
     from .server import ToolService, TransferBrief
 
 EXIT_OK = 0
@@ -136,6 +133,10 @@ def build_parser() -> _Parser:
 def _providers(args, cfg: PipelineConfig):
     """Pick distiller/evaluator: rule-based stubs unless an LLM endpoint is
     configured and --fixture-mode is off."""
+    from .distillation import RuleBasedDistiller
+    from .providers import ENV_LLM_ENDPOINT, HttpChatProvider
+    from .quality import RuleBasedEvaluator
+
     endpoint = cfg.provider.endpoint or os.environ.get(ENV_LLM_ENDPOINT)
     if args.fixture_mode or not endpoint:
         RuleBasedEvaluator.check_dimensions(cfg.qc.dimensions)
@@ -152,7 +153,23 @@ def _providers(args, cfg: PipelineConfig):
     return ChatDistiller(provider), ChatEvaluator(provider)
 
 
+# Patch points: see the module docstring.
+def run_govern(*args, **kwargs):
+    from .pipeline import run_govern
+
+    return run_govern(*args, **kwargs)
+
+
+def load_fixture_triplets(path):
+    from .ingestion import load_fixture_triplets
+
+    return load_fixture_triplets(path)
+
+
 def cmd_govern(args) -> int:
+    from .audit import AuditLog
+    from .config import load_config
+
     cfg = load_config(args.config)
     if args.workers is not None:
         cfg = dataclasses.replace(cfg, workers=args.workers)  # re-runs its checks
@@ -186,6 +203,8 @@ def _print_fields(args, fields: dict) -> None:
 
 
 def _read_stats_file(path: Path) -> list[RepoStats]:
+    from .ingestion import RepoStats
+
     if not path.is_file():
         raise DataError(f"stats file not found: {path}")
     out = []
@@ -213,6 +232,9 @@ def _read_stats_file(path: Path) -> list[RepoStats]:
 
 
 def cmd_select(args) -> int:
+    from .config import load_config
+    from .selection import select_top_m
+
     cfg = load_config(args.config)
     ranked = select_top_m(_read_stats_file(Path(args.stats_file)), cfg.selection)
     if args.json:
@@ -224,6 +246,10 @@ def cmd_select(args) -> int:
 
 
 def cmd_purify(args) -> int:
+    from .audit import AuditLog
+    from .config import load_config
+    from .pipeline import run_purify_only
+
     cfg = load_config(args.config)
     input_path = Path(args.input)
     if not input_path.is_file():
@@ -302,6 +328,8 @@ def cmd_serve(args) -> int:
 def _demo_query_parts(issue_text: str) -> tuple[list[str], list[str]]:
     """Initial query tokens (title + first anchor) and the pool of further
     anchor tokens for refinement rounds."""
+    from .purification import scan_text_anchors
+
     excerpts = scan_text_anchors(issue_text)
     tokens = _unique_tokens([issue_text.split("\n")[0], *excerpts[:1]])
     pool = [token for token in _unique_tokens(excerpts[1:]) if token not in tokens]
@@ -393,7 +421,9 @@ def cmd_demo_agent(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    _print_fields(args, read_manifest(Path(args.index_dir)))
+    manifest = read_manifest(Path(args.index_dir))
+    check_manifest(manifest)
+    _print_fields(args, manifest)
     return EXIT_OK
 
 

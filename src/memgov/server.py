@@ -29,17 +29,21 @@ to read it.
 
 Sessions are server-side conveniences for audit and brief assembly;
 search and browse remain fully usable without one. At most 10,000 sessions
-are kept; creating one more drops the oldest, which then answers 404. The
-store snapshot is immutable while serving, so concurrent reads need no
-locking; session logs are the only mutable state and are synchronized
-internally.
+are kept; creating one more drops the oldest, which then answers 404. A
+session logs at most MAX_SESSION_ROUNDS (1,000) searches and browses; one
+more that names it answers 409 session_full without running, and the same
+request without a session_id still answers. The store snapshot is
+immutable while serving, so concurrent reads need no locking; session logs
+are the only mutable state and are synchronized internally.
 
 Serving model: one thread runs one `selectors` loop, the single-process
 event-driven design of Flash (Pai, Druschel and Zwaenepoel, USENIX ATC
 1999). The loop accepts connections, reads each request's line, headers
 and Content-Length body into a buffer with non-blocking reads, then runs
 the route inline and sends the answer in one buffer: one request per
-connection (HTTP/1.0). No read or write ever blocks the loop.
+connection (HTTP/1.0). Its Date header is an IMF-fixdate (RFC 9110) built
+from time.gmtime() with English day and month names, the same in any
+locale. No read or write ever blocks the loop.
 
 * One deadline per connection. REQUEST_TIMEOUT_SECONDS runs from accept to
   the last body byte: a partial request then answers 408 request_timeout,
@@ -81,10 +85,8 @@ import socket
 import sys
 import threading
 import time
-import traceback
 import uuid
 from dataclasses import asdict, dataclass, field
-from email.utils import formatdate
 from http import HTTPStatus
 
 from .cards import ExperienceCard, card_to_dict
@@ -106,6 +108,8 @@ LINGER_BYTES = 64 << 20
 LINGER_SECONDS = 2.0
 # Most live sessions; creating one more evicts the oldest created.
 MAX_SESSIONS = 10_000
+# Most rounds one session logs; a search or browse past it is refused.
+MAX_SESSION_ROUNDS = 1_000
 # Most open connections; one more closes the open one with the earliest
 # deadline that is still waiting on its client.
 MAX_CONNECTIONS = 64
@@ -164,7 +168,8 @@ class TransferBrief:
 
 class SessionRegistry:
     """Append-only session logs; timestamps never decrease. Holds at most
-    MAX_SESSIONS logs: creating one more forgets the oldest created."""
+    MAX_SESSIONS logs, creating one more forgets the oldest created, and at
+    most MAX_SESSION_ROUNDS rounds in each."""
 
     def __init__(self):
         self._sessions: dict[str, SessionLog] = {}
@@ -186,6 +191,15 @@ class SessionRegistry:
             raise UnknownSessionError(f"no session with id {session_id!r}")
         return log
 
+    def check_room(self, session_id: str | None) -> None:
+        """SessionFullError if session_id names a session that holds
+        MAX_SESSION_ROUNDS rounds; None and an unknown id pass, and append()
+        refuses an unknown id."""
+        with self._lock:
+            log = self._sessions.get(session_id)
+            if log is not None:
+                _check_room(log)
+
     def get(self, session_id: str) -> SessionLog:
         with self._lock:
             return self._log(session_id)
@@ -202,13 +216,25 @@ class SessionRegistry:
         session's browse order unless already in it."""
         with self._lock:
             log = self._log(session_id)
+            _check_room(log)
             self._last_ts = max(self._last_ts, time.time())
             log.rounds.append(SessionRound(kind, request, result, self._last_ts))
             if browsed is not None:
                 log.browsed.setdefault(browsed)
 
 
+def _check_room(log: SessionLog) -> None:
+    if len(log.rounds) >= MAX_SESSION_ROUNDS:
+        raise SessionFullError(
+            f"session {log.session_id!r} already holds {MAX_SESSION_ROUNDS} rounds"
+        )
+
+
 class UnknownSessionError(MemgovError):
+    pass
+
+
+class SessionFullError(MemgovError):
     pass
 
 
@@ -224,6 +250,7 @@ class ToolService:
         self.sessions = SessionRegistry()
 
     def handle_search(self, req: SearchRequest) -> list[SearchHit]:
+        self.sessions.check_room(req.session_id)
         hits = self.store.search(req.query, k=req.top_k)
         if req.session_id is not None:
             self.sessions.append(
@@ -235,6 +262,7 @@ class ToolService:
         return hits
 
     def handle_browse(self, req: BrowseRequest) -> ExperienceCard:
+        self.sessions.check_room(req.session_id)
         card = self.store.browse(req.card_id)
         if req.session_id is not None:
             self.sessions.append(
@@ -288,6 +316,7 @@ _FAULTS: dict[type[Exception], tuple[int, str]] = {
     UnknownCardError: (404, "not_found"),
     UnknownSessionError: (404, "not_found"),
     CardNotBrowsedError: (409, "card_not_browsed"),
+    SessionFullError: (409, "session_full"),
     DataError: (400, "invalid_request"),
 }
 
@@ -427,13 +456,28 @@ def _parse_head(head: bytes) -> tuple[str, str, int]:
     return method, path, size
 
 
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+
+
+def _http_date(timestamp: float | None = None) -> str:
+    """The IMF-fixdate (RFC 9110, section 5.6.7) of a time, now by default:
+    what email.utils.formatdate(timestamp, usegmt=True) writes for a whole
+    second, in any locale."""
+    t = time.gmtime(timestamp)
+    return (
+        f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} {t.tm_year:04d} "
+        f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT"
+    )
+
+
 def _response(status: int, body: bytes, headers: tuple = (), content: bool = True) -> bytes:
     """Status line, headers and body in one buffer."""
     head = [
         f"HTTP/1.0 {status} {HTTPStatus(status).phrase}",
         "Content-Type: application/json",
         f"Content-Length: {len(body)}",
-        f"Date: {formatdate(usegmt=True)}",
+        f"Date: {_http_date()}",
         *(f"{name}: {value}" for name, value in headers),
         "\r\n",
     ]
@@ -564,6 +608,8 @@ class HttpServer:
             else:
                 self._flush(conn)
         except Exception:
+            import traceback  # only on a fault, so serve starts without it
+
             traceback.print_exc(file=sys.stderr)
             self._close(conn)
 

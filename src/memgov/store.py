@@ -535,36 +535,15 @@ class MemoryStore:
     @classmethod
     def load(cls, directory: str | Path, embedder: Embedder | None = None) -> "MemoryStore":
         """Load a persisted store of format 3 or 2, verifying layout and
-        checksums; cards are decoded on first read.
-
-        When no embedder is passed, the manifest's embedder id must name a
-        default embedder; an explicitly passed embedder must match the
-        manifest so different embedders are never mixed.
+        checksums; cards are decoded on first read. The embedder is
+        resolved and checked by check_manifest.
         """
         directory = Path(directory)
         manifest = read_manifest(directory)
+        embedder = check_manifest(manifest, embedder)
         fmt = _FORMATS[manifest["format_version"]]
         dimension = manifest["dimension"]
         count = manifest["count"]
-        embedder_id = manifest["embedder_id"]
-
-        if embedder is None:
-            try:
-                embedder = default_embedder_for(embedder_id)
-            except ValueError as exc:
-                raise StoreFormatError(f"manifest.json embedder_id {embedder_id!r}: {exc}") from exc
-            if embedder is None:
-                raise StoreFormatError(
-                    f"store was built with embedder {embedder_id!r}; pass that embedder to load()"
-                )
-        elif embedder.embedder_id != embedder_id:
-            raise StoreFormatError(
-                f"embedder mismatch: store has {embedder_id!r}, got {embedder.embedder_id!r}"
-            )
-        if embedder.dimension != dimension:
-            raise StoreFormatError(
-                f"dimension mismatch: manifest {dimension}, embedder {embedder.dimension}"
-            )
 
         vectors_path = directory / "vectors.bin"
         if not vectors_path.is_file():
@@ -633,6 +612,35 @@ def read_manifest(directory: Path) -> dict:
         if not isinstance(value, kind) or isinstance(value, bool):
             raise StoreFormatError(f"manifest.json {key} must be {kind.__name__}, got {value!r}")
     return manifest
+
+
+def check_manifest(manifest: dict, embedder: Embedder | None = None) -> Embedder:
+    """The embedder a manifest from read_manifest names, refused with
+    StoreFormatError unless it matches the manifest's dimension.
+
+    When no embedder is passed, the manifest's embedder id must name a
+    default embedder; an explicitly passed embedder must match the
+    manifest so different embedders are never mixed.
+    """
+    embedder_id = manifest["embedder_id"]
+    if embedder is None:
+        try:
+            embedder = default_embedder_for(embedder_id)
+        except ValueError as exc:
+            raise StoreFormatError(f"manifest.json embedder_id {embedder_id!r}: {exc}") from exc
+        if embedder is None:
+            raise StoreFormatError(
+                f"store was built with embedder {embedder_id!r}; pass that embedder to load()"
+            )
+    elif embedder.embedder_id != embedder_id:
+        raise StoreFormatError(
+            f"embedder mismatch: store has {embedder_id!r}, got {embedder.embedder_id!r}"
+        )
+    if embedder.dimension != manifest["dimension"]:
+        raise StoreFormatError(
+            f"dimension mismatch: manifest {manifest['dimension']}, embedder {embedder.dimension}"
+        )
+    return embedder
 
 
 def _read_vectors(

@@ -220,6 +220,21 @@ def test_workers_flag_overrides_the_config(tmp_path, small_fixture, capsys, monk
     assert seen == [3, 2]
 
 
+def test_govern_reads_through_the_replaceable_loader(tmp_path, small_fixture, capsys, monkeypatch):
+    read = []
+
+    def loader(path):
+        read.append(path)
+        return load_fixture_triplets(path)
+
+    monkeypatch.setattr("memgov.cli.load_fixture_triplets", loader)
+    out = tmp_path / "store"
+    code, stdout, _ = run_cli(capsys, "--fixture-mode", "--json", "govern", str(small_fixture), str(out))
+    assert code == 0
+    assert read == [small_fixture]
+    assert json.loads(stdout)["read"] == 3
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_bad_workers_flag_is_usage_error(tmp_path, small_fixture, capsys, workers):
     out = tmp_path / "store"
@@ -507,12 +522,13 @@ def test_malformed_manifest_is_data_error(built_store, capsys, command, manifest
     assert err.startswith("error: manifest.json") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["search", "browse"])
+@pytest.mark.parametrize("command", ["search", "browse", "stats"])
 @pytest.mark.parametrize("embedder_id", ["feature-hash-0", "feature-hash-100000"])
 def test_manifest_naming_a_refused_embedder_is_data_error(built_store, capsys, command, embedder_id):
     path = built_store / "manifest.json"
     path.write_text(json.dumps({**json.loads(path.read_text()), "embedder_id": embedder_id}))
-    code, stdout, err = run_cli(capsys, command, str(built_store), "pipeline failure")
+    args = [str(built_store)] if command == "stats" else [str(built_store), "pipeline failure"]
+    code, stdout, err = run_cli(capsys, command, *args)
     assert code == 2
     assert stdout == ""
     assert err.startswith("error: manifest.json") and err.count("\n") == 1

@@ -3,12 +3,14 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 import select
 import socket
 import string
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from email.utils import formatdate, parsedate_to_datetime
 from urllib.parse import quote
 
 import pytest
@@ -460,6 +462,26 @@ def test_session_registry_drops_the_oldest_beyond_its_cap(live):
         service.sessions.get(first)
 
 
+def test_a_full_session_refuses_search_and_browse_before_running_them(live, monkeypatch):
+    base, _service, cards = live
+    monkeypatch.setattr(server_module, "MAX_SESSION_ROUNDS", 2)
+    session_id = requests.post(f"{base}/v1/session", json={}).json()["session_id"]
+    search = {"query": "deadlock", "session_id": session_id}
+    browse = {"card_id": cards[0].card_id, "session_id": session_id}
+    assert requests.post(f"{base}/v1/search", json=search).status_code == 200
+    assert requests.post(f"{base}/v1/browse", json=browse).status_code == 200
+    # "!!!" alone answers 400 unembeddable_query: 409 shows the search never ran.
+    for path, body in (("search", search), ("browse", browse), ("search", {**search, "query": "!!!"})):
+        resp = requests.post(f"{base}/v1/{path}", json=body)
+        assert resp.status_code == 409
+        assert resp.json()["error"]["code"] == "session_full"
+    rounds = requests.get(f"{base}/v1/session/{session_id}").json()["rounds"]
+    assert [r["kind"] for r in rounds] == ["search", "browse"]
+    resp = requests.post(f"{base}/v1/search", json={"query": "deadlock"})
+    assert resp.status_code == 200 and resp.json()["hits"]
+    assert requests.post(f"{base}/v1/browse", json={"card_id": cards[0].card_id}).status_code == 200
+
+
 class OneCardStore:
     """A store stub whose browse returns one fixed card for any id."""
 
@@ -470,9 +492,11 @@ class OneCardStore:
         return self.card
 
 
-def test_long_browse_history_costs_constant_time_per_id():
+def test_long_browse_history_costs_constant_time_per_id(monkeypatch):
     # A browse and each id a brief names are looked up, not scanned for: with
-    # lists, these 30,000 browses and one brief took about 12 s.
+    # lists, these 30,000 browses and one brief took about 12 s. The round
+    # cap is raised so that one session can hold them.
+    monkeypatch.setattr(server_module, "MAX_SESSION_ROUNDS", 30_001)
     service = ToolService(OneCardStore(make_card()))
     session_id = service.sessions.create()
     ids = [f"card-{i}" for i in range(30_000)]
@@ -482,6 +506,30 @@ def test_long_browse_history_costs_constant_time_per_id():
     brief = service.assemble_transfer_brief(session_id, ids[::-1])
     assert time.perf_counter() - start < 2.0
     assert brief.source_card_ids == tuple(ids)  # browse order, each id once
+
+
+@pytest.mark.parametrize(
+    "timestamp",
+    [
+        0,
+        951_782_400,  # 29 February 2000
+        1_709_164_799.75,  # the last second of 28 February 2024
+        2**31 + 86_400,  # after January 2038
+        *(1_700_000_000 + day * 86_400 for day in range(7)),  # every weekday
+        *(1_704_067_200 + month * 2_678_400 for month in range(12)),  # every month of 2024
+    ],
+)
+def test_http_date_matches_email_utils(timestamp):
+    assert server_module._http_date(timestamp) == formatdate(timestamp, usegmt=True)
+
+
+def test_a_live_answer_carries_the_current_date(live):
+    base, _service, _cards = live
+    before = time.time()
+    header = requests.get(f"{base}/v1/health").headers["Date"]
+    after = time.time()
+    assert re.fullmatch(r"\w{3}, \d{2} \w{3} \d{4} \d{2}:\d{2}:\d{2} GMT", header)
+    assert int(before) <= parsedate_to_datetime(header).timestamp() <= after
 
 
 def test_search_request_validation():
